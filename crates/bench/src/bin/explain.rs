@@ -5,11 +5,5 @@
 //! MULTIPATH_THREADS by construction.
 
 fn main() {
-    let budget = multipath_bench::Budget::from_env();
-    let rows = multipath_bench::explain_rows(&budget);
-    if multipath_bench::csv_requested() {
-        print!("{}", multipath_bench::render_explain_csv(&rows));
-    } else {
-        print!("{}", multipath_bench::render_explain(&rows));
-    }
+    multipath_bench::print_named("explain");
 }

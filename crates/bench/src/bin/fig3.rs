@@ -5,11 +5,5 @@
 //! byte-identical at every thread count.
 
 fn main() {
-    let budget = multipath_bench::Budget::from_env();
-    let rows = multipath_bench::figure3(&budget);
-    if multipath_bench::csv_requested() {
-        print!("{}", multipath_bench::render_figure3_csv(&rows));
-    } else {
-        print!("{}", multipath_bench::render_figure3(&rows));
-    }
+    multipath_bench::print_named("fig3");
 }

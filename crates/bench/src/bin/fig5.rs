@@ -5,11 +5,5 @@
 //! byte-identical at every thread count.
 
 fn main() {
-    let budget = multipath_bench::Budget::from_env();
-    let rows = multipath_bench::figure5(&budget);
-    if multipath_bench::csv_requested() {
-        print!("{}", multipath_bench::render_figure5_csv(&rows));
-    } else {
-        print!("{}", multipath_bench::render_figure5(&rows));
-    }
+    multipath_bench::print_named("fig5");
 }

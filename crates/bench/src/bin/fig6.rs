@@ -5,11 +5,5 @@
 //! byte-identical at every thread count.
 
 fn main() {
-    let budget = multipath_bench::Budget::from_env();
-    let rows = multipath_bench::figure6(&budget);
-    if multipath_bench::csv_requested() {
-        print!("{}", multipath_bench::render_figure6_csv(&rows));
-    } else {
-        print!("{}", multipath_bench::render_figure6(&rows));
-    }
+    multipath_bench::print_named("fig6");
 }

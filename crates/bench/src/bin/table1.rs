@@ -4,11 +4,5 @@
 //! is byte-identical at every thread count.
 
 fn main() {
-    let budget = multipath_bench::Budget::from_env();
-    let rows = multipath_bench::table1(&budget);
-    if multipath_bench::csv_requested() {
-        print!("{}", multipath_bench::render_table1_csv(&rows));
-    } else {
-        print!("{}", multipath_bench::render_table1(&rows));
-    }
+    multipath_bench::print_named("table1");
 }

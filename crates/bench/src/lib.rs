@@ -18,7 +18,7 @@
 //! which configuration wins, how gains move with program count, and where
 //! the recycling statistics land.
 
-use multipath_core::{AltPolicy, Features, SimConfig, Simulator, Stats};
+use multipath_core::{AltPolicy, EventFilter, Features, ProbeConfig, RunSpec, SimConfig, Stats};
 use multipath_workload::{mix, Benchmark};
 
 pub mod parallel;
@@ -49,7 +49,7 @@ impl Budget {
         }
     }
 
-    /// A fast smoke-sized budget for tests and Criterion timing.
+    /// A fast smoke-sized budget for tests and bench timing.
     pub fn quick() -> Budget {
         Budget {
             committed_per_program: 4_000,
@@ -95,13 +95,24 @@ pub struct Cell {
     pub seed: u64,
 }
 
+impl Cell {
+    /// This cell as a run under `budget`'s commit target and cycle cap.
+    pub fn spec(&self, budget: &Budget) -> RunSpec {
+        RunSpec {
+            max_cycles: budget.max_cycles,
+            ..RunSpec::new(
+                self.config.clone(),
+                self.workload.clone(),
+                self.seed,
+                budget.committed_per_program,
+            )
+        }
+    }
+}
+
 /// Runs one cell to the budget and returns the statistics.
 pub fn run_cell(cell: &Cell, budget: &Budget) -> Stats {
-    let programs = mix::programs(&cell.workload, cell.seed);
-    let mut sim = Simulator::new(cell.config.clone(), programs);
-    let total = budget.committed_per_program * cell.workload.len() as u64;
-    sim.run(total, budget.max_cycles);
-    sim.stats().clone()
+    cell.spec(budget).run().stats().clone()
 }
 
 /// Runs one cell with the full observability stack enabled — interval
@@ -110,54 +121,17 @@ pub fn run_cell(cell: &Cell, budget: &Budget) -> Stats {
 /// perturbing, so the returned statistics are bit-identical to
 /// [`run_cell`]'s (the harness asserts this).
 pub fn run_cell_probed(cell: &Cell, budget: &Budget) -> Stats {
-    use multipath_core::{EventFilter, ProbeConfig};
-    let programs = mix::programs(&cell.workload, cell.seed);
-    let mut sim = Simulator::new(cell.config.clone(), programs);
-    sim.enable_probes(ProbeConfig {
-        ring: Some(1024),
-        interval: Some(100),
-        spans: true,
-        explain: true,
-        filter: EventFilter::all(),
-    });
-    let total = budget.committed_per_program * cell.workload.len() as u64;
-    sim.run(total, budget.max_cycles);
-    sim.finish_probes();
-    sim.stats().clone()
-}
-
-/// Runs one cell with only the explain sinks (attribution + path tree)
-/// enabled and returns them alongside the statistics. Serial by design:
-/// the sinks carry per-run state that the parallel engine's `Stats`-only
-/// aggregation cannot transport.
-pub fn run_cell_explained(
-    cell: &Cell,
-    budget: &Budget,
-) -> (
-    Stats,
-    multipath_core::AttributionSink,
-    multipath_core::PathTreeSink,
-) {
-    use multipath_core::{EventFilter, ProbeConfig};
-    let programs = mix::programs(&cell.workload, cell.seed);
-    let mut sim = Simulator::new(cell.config.clone(), programs);
-    sim.enable_probes(ProbeConfig {
-        ring: None,
-        interval: None,
-        spans: false,
-        explain: true,
-        filter: EventFilter::all(),
-    });
-    let total = budget.committed_per_program * cell.workload.len() as u64;
-    sim.run(total, budget.max_cycles);
-    sim.finish_probes();
-    let stats = sim.stats().clone();
-    let probes = sim.take_probes().expect("probes enabled");
-    (
-        stats,
-        probes.attribution.expect("attribution sink on"),
-        probes.tree.expect("path-tree sink on"),
-    )
+    let spec = RunSpec {
+        probes: Some(ProbeConfig {
+            ring: Some(1024),
+            interval: Some(100),
+            spans: true,
+            explain: true,
+            filter: EventFilter::all(),
+        }),
+        ..cell.spec(budget)
+    };
+    spec.run().stats().clone()
 }
 
 /// The cell for `bench` running alone under `features` on the baseline
@@ -653,14 +627,21 @@ impl ExplainRow {
 }
 
 /// Runs the explain attribution for every kernel under REC/RS/RU. Serial
-/// (see [`run_cell_explained`]); with the quick budget this is the cost
-/// of one extra Table 1 column pass.
+/// by design: the sinks carry per-run state that the parallel engine's
+/// `Stats`-only aggregation cannot transport. With the quick budget this
+/// is the cost of one extra Table 1 column pass.
 pub fn explain_rows(budget: &Budget) -> Vec<ExplainRow> {
     Benchmark::ALL
         .into_iter()
         .map(|bench| {
-            let cell = single_cell(bench, Features::rec_rs_ru(), budget);
-            let (stats, attr, _tree) = run_cell_explained(&cell, budget);
+            let spec = RunSpec {
+                probes: Some(ProbeConfig::explain()),
+                ..single_cell(bench, Features::rec_rs_ru(), budget).spec(budget)
+            };
+            let mut sim = spec.run();
+            let probes = sim.take_probes().expect("probes enabled");
+            let attr = probes.attribution.expect("attribution sink on");
+            let stats = sim.stats();
             ExplainRow {
                 bench,
                 recycled: stats.recycled,
@@ -744,6 +725,38 @@ pub fn render_explain_csv(rows: &[ExplainRow]) -> String {
 /// Whether the binaries should emit CSV instead of aligned text.
 pub fn csv_requested() -> bool {
     std::env::var("MP_FORMAT").is_ok_and(|v| v == "csv")
+}
+
+/// Runs the figure `name` (`fig3`, `fig4`, `fig5`, `fig6`, `table1`, or
+/// `explain`) and renders it as text, or as CSV when `csv` is set;
+/// `None` for any other name.
+pub fn render_named(name: &str, budget: &Budget, csv: bool) -> Option<String> {
+    macro_rules! figure {
+        ($run:ident, $text:ident, $csv:ident) => {{
+            let rows = $run(budget);
+            if csv {
+                $csv(&rows)
+            } else {
+                $text(&rows)
+            }
+        }};
+    }
+    Some(match name {
+        "fig3" => figure!(figure3, render_figure3, render_figure3_csv),
+        "fig4" => figure!(figure4, render_figure4, render_figure4_csv),
+        "fig5" => figure!(figure5, render_figure5, render_figure5_csv),
+        "fig6" => figure!(figure6, render_figure6, render_figure6_csv),
+        "table1" => figure!(table1, render_table1, render_table1_csv),
+        "explain" => figure!(explain_rows, render_explain, render_explain_csv),
+        _ => return None,
+    })
+}
+
+/// The whole of a figure binary: prints the figure `name` under the
+/// budget and format the environment selects.
+pub fn print_named(name: &str) {
+    let text = render_named(name, &Budget::from_env(), csv_requested());
+    print!("{}", text.expect("a figure name render_named knows"));
 }
 
 /// Figure 3 as CSV (`bench,smt,tme,rec,rec_ru,rec_rs,rec_rs_ru`).

@@ -52,9 +52,9 @@
 use multipath_cli::{
     parse_invocation, ExplainOptions, Invocation, Options, ServeOptions, TraceOptions, USAGE,
 };
-use multipath_core::{stats_json, Features, ProbeConfig, SimConfig, Simulator, Stats};
+use multipath_core::{stats_json, Features, ProbeConfig, RunSpec, Stats};
 use multipath_serve::{signal, Server};
-use multipath_workload::{kernels, mix};
+use multipath_workload::kernels;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -73,20 +73,13 @@ fn write_creating_dirs(path: &str, contents: &str) -> std::io::Result<()> {
     std::fs::write(path, contents)
 }
 
-fn configure(opts: &Options, features: Features) -> SimConfig {
+/// The run `opts` describe, under `features`.
+fn spec(opts: &Options, features: Features) -> RunSpec {
     let mut config = opts.machine.clone().with_features(features);
     if let Some(p) = opts.policy {
         config = config.with_alt_policy(p);
     }
-    config
-}
-
-fn simulate(opts: &Options, features: Features) -> Stats {
-    let programs = mix::programs(&opts.benches, opts.seed);
-    let mut sim = Simulator::new(configure(opts, features), programs);
-    let total = opts.commits * opts.benches.len() as u64;
-    sim.run(total, total.saturating_mul(100).max(1_000_000));
-    sim.stats().clone()
+    RunSpec::new(config, opts.benches.clone(), opts.seed, opts.commits)
 }
 
 fn print_stats(label: &str, s: &Stats) {
@@ -106,7 +99,8 @@ fn print_stats(label: &str, s: &Stats) {
 }
 
 fn cmd_run(opts: &Options) -> ExitCode {
-    let stats = simulate(opts, opts.features);
+    let sim = spec(opts, opts.features).run();
+    let stats = sim.stats();
     let names: Vec<&str> = opts.benches.iter().map(|b| b.name()).collect();
     println!(
         "workload: {} | {} committed in {} cycles",
@@ -114,35 +108,36 @@ fn cmd_run(opts: &Options) -> ExitCode {
         stats.committed,
         stats.cycles
     );
-    print_stats(opts.features.label(), &stats);
+    print_stats(opts.features.label(), stats);
     ExitCode::SUCCESS
 }
 
 fn cmd_trace(topts: &TraceOptions, opts: &Options) -> ExitCode {
-    let programs = mix::programs(&opts.benches, opts.seed);
-    let mut sim = Simulator::new(configure(opts, opts.features), programs);
-    sim.enable_probes(ProbeConfig {
-        ring: topts.print_events.map(|n| n.max(1)),
-        interval: Some(topts.interval.max(1)),
-        spans: true,
-        explain: false,
-        filter: topts.filter,
-    });
-    sim.enable_host_profile();
-
-    let total = opts.commits * opts.benches.len() as u64;
-    sim.run(total, total.saturating_mul(100).max(1_000_000));
+    let spec = RunSpec {
+        probes: Some(ProbeConfig {
+            ring: topts.print_events.map(|n| n.max(1)),
+            interval: Some(topts.interval.max(1)),
+            spans: true,
+            explain: false,
+            filter: topts.filter,
+        }),
+        host_profile: true,
+        ..spec(opts, opts.features)
+    };
+    let mut sim = spec.run();
+    let stats = sim.stats().clone();
+    let profile = sim.host_profile().map(|p| p.report(stats.ipc()));
+    let probes = sim.take_probes().expect("probes were enabled");
 
     // The text timeline samples *after* the commit target: the machine is
-    // warmed up and still running (unless the programs halted).
+    // warmed up and still running (unless the programs halted). It steps
+    // the machine on, so everything written out was taken above.
     let timeline = topts.timeline.map(|cycles| {
         let samples = multipath_core::trace::sample_window(&mut sim, cycles);
         let stride = (cycles / 48).max(1) as usize;
         multipath_core::trace::render_timeline(&samples, stride)
     });
-    sim.finish_probes();
 
-    let stats = sim.stats().clone();
     let names: Vec<&str> = opts.benches.iter().map(|b| b.name()).collect();
     let label = names.join("+");
     println!(
@@ -150,15 +145,14 @@ fn cmd_trace(topts: &TraceOptions, opts: &Options) -> ExitCode {
         stats.committed, stats.cycles
     );
     print_stats(opts.features.label(), &stats);
-    if let Some(prof) = sim.host_profile() {
-        print!("{}", prof.report(stats.ipc()));
+    if let Some(report) = profile {
+        print!("{report}");
     }
     if let Some(text) = timeline {
         println!();
         print!("{text}");
     }
 
-    let probes = sim.take_probes().expect("probes were enabled");
     if let Some(ring) = &probes.ring {
         println!();
         println!("last {} events ({} dropped):", ring.len(), ring.dropped);
@@ -198,31 +192,22 @@ fn cmd_trace(topts: &TraceOptions, opts: &Options) -> ExitCode {
 }
 
 fn cmd_explain(eopts: &ExplainOptions, opts: &Options) -> ExitCode {
-    let programs = mix::programs(&opts.benches, opts.seed);
-    let mut sim = Simulator::new(configure(opts, opts.features), programs);
-    sim.enable_probes(ProbeConfig {
-        ring: None,
-        interval: None,
-        spans: false,
-        explain: true,
-        filter: multipath_core::EventFilter::all(),
-    });
-
-    let total = opts.commits * opts.benches.len() as u64;
-    sim.run(total, total.saturating_mul(100).max(1_000_000));
-    sim.finish_probes();
-
-    let stats = sim.stats().clone();
+    let spec = RunSpec {
+        probes: Some(ProbeConfig::explain()),
+        ..spec(opts, opts.features)
+    };
+    let mut sim = spec.run();
+    let probes = sim.take_probes().expect("probes were enabled");
+    let stats = sim.stats();
     let names: Vec<&str> = opts.benches.iter().map(|b| b.name()).collect();
     let label = names.join("+");
-    let probes = sim.take_probes().expect("probes were enabled");
     let attr = probes.attribution.as_ref().expect("attribution sink on");
     let tree = probes.tree.as_ref().expect("path-tree sink on");
 
     let report = multipath_core::explain_markdown(
         &label,
         opts.features.label(),
-        &stats,
+        stats,
         attr,
         tree,
         eopts.top,
@@ -234,7 +219,7 @@ fn cmd_explain(eopts: &ExplainOptions, opts: &Options) -> ExitCode {
     }
 
     let doc =
-        multipath_core::explain_json(&label, opts.features.label(), &stats, attr, tree, eopts.top);
+        multipath_core::explain_json(&label, opts.features.label(), stats, attr, tree, eopts.top);
     if let Err(e) = write_creating_dirs(&eopts.json_out, &doc) {
         eprintln!("error: writing {}: {e}", eopts.json_out);
         return ExitCode::FAILURE;
@@ -263,8 +248,7 @@ fn cmd_compare(opts: &Options) -> ExitCode {
     let names: Vec<&str> = opts.benches.iter().map(|b| b.name()).collect();
     println!("workload: {}", names.join("+"));
     for features in Features::all_six() {
-        let stats = simulate(opts, features);
-        print_stats(features.label(), &stats);
+        print_stats(features.label(), spec(opts, features).run().stats());
     }
     ExitCode::SUCCESS
 }
@@ -300,57 +284,8 @@ fn cmd_figures(requested: &[&str]) -> ExitCode {
         if requested.len() > 1 {
             println!("== {fig} ==");
         }
-        match *fig {
-            "fig3" => {
-                let rows = multipath_bench::figure3(&budget);
-                if csv {
-                    print!("{}", multipath_bench::render_figure3_csv(&rows));
-                } else {
-                    print!("{}", multipath_bench::render_figure3(&rows));
-                }
-            }
-            "fig4" => {
-                let rows = multipath_bench::figure4(&budget);
-                if csv {
-                    print!("{}", multipath_bench::render_figure4_csv(&rows));
-                } else {
-                    print!("{}", multipath_bench::render_figure4(&rows));
-                }
-            }
-            "fig5" => {
-                let rows = multipath_bench::figure5(&budget);
-                if csv {
-                    print!("{}", multipath_bench::render_figure5_csv(&rows));
-                } else {
-                    print!("{}", multipath_bench::render_figure5(&rows));
-                }
-            }
-            "fig6" => {
-                let rows = multipath_bench::figure6(&budget);
-                if csv {
-                    print!("{}", multipath_bench::render_figure6_csv(&rows));
-                } else {
-                    print!("{}", multipath_bench::render_figure6(&rows));
-                }
-            }
-            "table1" => {
-                let rows = multipath_bench::table1(&budget);
-                if csv {
-                    print!("{}", multipath_bench::render_table1_csv(&rows));
-                } else {
-                    print!("{}", multipath_bench::render_table1(&rows));
-                }
-            }
-            "explain" => {
-                let rows = multipath_bench::explain_rows(&budget);
-                if csv {
-                    print!("{}", multipath_bench::render_explain_csv(&rows));
-                } else {
-                    print!("{}", multipath_bench::render_explain(&rows));
-                }
-            }
-            _ => unreachable!("validated by the parser"),
-        }
+        let text = multipath_bench::render_named(fig, &budget, csv);
+        print!("{}", text.expect("validated by the parser"));
     }
     ExitCode::SUCCESS
 }

@@ -373,10 +373,10 @@ impl SimConfig {
     /// fixed order, independent of how the configuration was constructed
     /// or what order a request spelled its fields in.
     ///
-    /// This is the *canonical form* behind [`SimConfig::canonical_hash`]:
-    /// two configurations canonicalize identically iff the simulator
-    /// would behave identically under them, which is what makes the hash
-    /// safe to use as a content address for cached simulation results.
+    /// Two configurations canonicalize identically iff the simulator
+    /// would behave identically under them, which is what makes the
+    /// string safe to use in a content address for cached simulation
+    /// results (see `RunSpec::canonical_string`).
     pub fn canonical_string(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::with_capacity(512);
@@ -446,14 +446,6 @@ impl SimConfig {
         s
     }
 
-    /// FNV-1a 64 digest of [`SimConfig::canonical_string`] — the
-    /// configuration's contribution to a content-addressed result-cache
-    /// key. Stable across field-spelling order in requests and across
-    /// processes (no pointer or RandomState input).
-    pub fn canonical_hash(&self) -> u64 {
-        fnv1a(self.canonical_string().as_bytes())
-    }
-
     /// Returns the configuration with different features (builder-style).
     pub fn with_features(mut self, features: Features) -> SimConfig {
         self.features = features;
@@ -516,19 +508,6 @@ impl Default for SimConfig {
     fn default() -> SimConfig {
         SimConfig::big_2_16()
     }
-}
-
-/// FNV-1a 64-bit digest — the workspace's standard process-independent
-/// hash (the golden-trace suite uses the same constants).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -633,11 +612,11 @@ mod extra_tests {
     }
 
     #[test]
-    fn canonical_hash_distinguishes_configurations() {
+    fn canonical_string_distinguishes_configurations() {
         let base = SimConfig::big_2_16();
         assert_eq!(
-            base.canonical_hash(),
-            SimConfig::big_2_16().canonical_hash()
+            base.canonical_string(),
+            SimConfig::big_2_16().canonical_string()
         );
         let mut seen = std::collections::HashSet::new();
         for machine in ["big.2.16", "big.1.8", "small.2.8", "small.1.8"] {
@@ -645,14 +624,14 @@ mod extra_tests {
                 let c = SimConfig::from_machine_name(machine)
                     .unwrap()
                     .with_features(f);
-                assert!(seen.insert(c.canonical_hash()), "{machine}/{}", f.label());
+                assert!(seen.insert(c.canonical_string()), "{machine}/{}", f.label());
             }
         }
         assert_ne!(
-            base.canonical_hash(),
+            base.canonical_string(),
             base.clone()
                 .with_alt_policy(AltPolicy::NoStop(8))
-                .canonical_hash()
+                .canonical_string()
         );
     }
 

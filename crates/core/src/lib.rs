@@ -67,6 +67,7 @@ pub mod probe;
 pub mod regfile;
 pub mod rename_stage;
 pub mod reuse;
+pub mod run;
 pub mod sim;
 pub mod stats;
 pub mod tme;
@@ -85,5 +86,6 @@ pub use probe::{
     IntervalSink, NullSink, ProbeConfig, ProbeSink, Probes, RefuseReason, ReuseDeny, RingSink,
     SpanRecorder, StageProfile,
 };
+pub use run::RunSpec;
 pub use sim::{Group, ProgramInstance, Simulator};
 pub use stats::Stats;

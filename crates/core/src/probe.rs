@@ -855,6 +855,18 @@ impl Default for ProbeConfig {
     }
 }
 
+impl ProbeConfig {
+    /// Only the explain sinks (attribution tables and the path tree), as
+    /// `multipath explain` attaches them.
+    pub fn explain() -> ProbeConfig {
+        ProbeConfig {
+            interval: None,
+            explain: true,
+            ..ProbeConfig::default()
+        }
+    }
+}
+
 /// The attached probe set: fans every event / cycle boundary out to the
 /// configured sinks. Itself a [`ProbeSink`], so external drivers can
 /// compose it like any other sink.

@@ -13,6 +13,7 @@ use crate::config::SimConfig;
 use crate::context::Context;
 use crate::ids::{CtxId, InstTag, PhysReg, ProgId};
 use crate::map::MapTable;
+use crate::probe::StageProfile;
 use crate::regfile::RegFiles;
 use crate::reuse::{Mdb, WrittenBits};
 use crate::stats::Stats;
@@ -22,6 +23,7 @@ use multipath_mem::{Asid, Memory, MemoryHierarchy};
 use multipath_workload::Program;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::time::{Duration, Instant};
 
 /// One running program: its image, address space, and progress.
 #[derive(Debug)]
@@ -96,6 +98,27 @@ impl PartialOrd for CompletionEvent {
     }
 }
 
+/// Charges host time to the pipeline stages of one
+/// [`Simulator::step_with`] call. The default lap measures nothing, so
+/// with `()`, the production clock, every lap compiles away.
+trait StageClock {
+    /// Charges the time since the previous lap to the stage `slot` picks.
+    #[inline(always)]
+    fn lap(&mut self, _slot: fn(&mut StageProfile) -> &mut Duration) {}
+}
+
+impl StageClock for () {}
+
+/// The host-profile clock: the profile and the time of the last lap.
+impl StageClock for (&mut StageProfile, Instant) {
+    #[inline(always)]
+    fn lap(&mut self, slot: fn(&mut StageProfile) -> &mut Duration) {
+        let now = Instant::now();
+        *slot(self.0) += now - self.1;
+        self.1 = now;
+    }
+}
+
 /// The execution-driven SMT/TME/Recycle simulator.
 ///
 /// # Examples
@@ -149,7 +172,7 @@ pub struct Simulator {
     /// path pays one branch per probe site and nothing else).
     pub(crate) probes: Option<Box<crate::probe::Probes>>,
     /// Host-side per-stage wall-clock profile, when enabled.
-    pub(crate) host_prof: Option<Box<crate::probe::StageProfile>>,
+    pub(crate) host_prof: Option<Box<StageProfile>>,
 }
 
 impl Simulator {
@@ -308,7 +331,7 @@ impl Simulator {
     }
 
     /// The accumulated host stage profile, if enabled.
-    pub fn host_profile(&self) -> Option<&crate::probe::StageProfile> {
+    pub fn host_profile(&self) -> Option<&StageProfile> {
         self.host_prof.as_deref()
     }
 
@@ -325,49 +348,32 @@ impl Simulator {
 
     /// Advances the machine one cycle.
     pub fn step(&mut self) {
-        if self.host_prof.is_some() {
-            self.step_profiled();
+        if self.host_prof.is_none() {
+            self.step_with(&mut ());
             return;
         }
-        self.forks_this_cycle = 0;
-        self.commit_stage();
-        self.writeback_stage();
-        self.issue_stage();
-        self.rename_stage();
-        self.fetch_stage();
-        self.cycle += 1;
-        self.stats.cycles = self.cycle;
-        #[cfg(debug_assertions)]
-        if self.cycle.is_multiple_of(4096) {
-            self.regs.check_conservation();
-        }
-        if self.probes.is_some() {
-            self.probe_cycle_end();
-        }
+        let mut profile = self.host_prof.take().expect("checked above");
+        self.step_with(&mut (&mut *profile, Instant::now()));
+        profile.steps += 1;
+        self.host_prof = Some(profile);
     }
 
-    /// `step` with host wall-clock accumulation per stage. A separate
-    /// body so the unprofiled loop stays branch-free between stages.
-    fn step_profiled(&mut self) {
-        use std::time::Instant;
-        let mut prof = self.host_prof.take().expect("caller checked");
+    /// The one stage body: each stage runs once, then `clock` charges
+    /// the time since the previous lap to it. Production and the host
+    /// profile share this loop; only the clock differs.
+    #[inline(always)]
+    fn step_with<C: StageClock>(&mut self, clock: &mut C) {
         self.forks_this_cycle = 0;
-        let mut t = Instant::now();
-        let mut lap = |acc: &mut std::time::Duration| {
-            let now = Instant::now();
-            *acc += now - t;
-            t = now;
-        };
         self.commit_stage();
-        lap(&mut prof.commit);
+        clock.lap(|p| &mut p.commit);
         self.writeback_stage();
-        lap(&mut prof.writeback);
+        clock.lap(|p| &mut p.writeback);
         self.issue_stage();
-        lap(&mut prof.issue);
+        clock.lap(|p| &mut p.issue);
         self.rename_stage();
-        lap(&mut prof.rename);
+        clock.lap(|p| &mut p.rename);
         self.fetch_stage();
-        lap(&mut prof.fetch);
+        clock.lap(|p| &mut p.fetch);
         self.cycle += 1;
         self.stats.cycles = self.cycle;
         #[cfg(debug_assertions)]
@@ -377,9 +383,7 @@ impl Simulator {
         if self.probes.is_some() {
             self.probe_cycle_end();
         }
-        lap(&mut prof.probes);
-        prof.steps += 1;
-        self.host_prof = Some(prof);
+        clock.lap(|p| &mut p.probes);
     }
 
     /// Feeds end-of-cycle state (cumulative stats + per-context views) to
@@ -429,15 +433,6 @@ impl Simulator {
         self.probes.is_some()
     }
 
-    /// Attaches a cooperative [`CancelToken`](crate::CancelToken):
-    /// [`Simulator::run`] polls it between cycles and returns early once
-    /// it fires (explicitly, or by its deadline). Statistics are
-    /// finalized either way; [`Simulator::cancelled`] reports which
-    /// happened.
-    pub fn set_cancel(&mut self, token: crate::cancel::CancelToken) {
-        self.cancel = Some(token);
-    }
-
     /// Whether the attached cancel token (if any) has fired.
     pub fn cancelled(&self) -> bool {
         self.cancel
@@ -447,7 +442,8 @@ impl Simulator {
 
     /// Runs until `total_committed` instructions have committed across all
     /// programs, every program has halted, `max_cycles` elapse, or the
-    /// attached cancel token (see [`Simulator::set_cancel`]) fires.
+    /// attached cancel token (see [`RunSpec::cancel`](crate::RunSpec))
+    /// fires.
     /// Returns the accumulated statistics.
     pub fn run(&mut self, total_committed: u64, max_cycles: u64) -> &Stats {
         while self.stats.committed < total_committed

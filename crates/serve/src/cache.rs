@@ -1,10 +1,13 @@
 //! The content-addressed result cache: completed simulation documents
-//! keyed by a hash of everything that determines their bytes.
+//! keyed by the canonical string of everything that determines their
+//! bytes.
 //!
 //! Two properties make caching safe here at all: the simulator is
 //! deterministic (same canonical config + kernel list + seed + budget →
-//! byte-identical output), and the cache key is derived from exactly that
-//! canonical form (see [`crate::request`]). On top of the map this adds:
+//! byte-identical output), and the cache key is exactly that canonical
+//! form (see [`crate::request`]), compared whole, so two requests share
+//! an entry only if they name the same simulation. On top of the map
+//! this adds:
 //!
 //! - **LRU-by-bytes eviction**: the cache is bounded by total body bytes,
 //!   not entry count — one 50 MB interval-heavy document should not be
@@ -45,9 +48,9 @@ struct Entry {
 }
 
 struct CacheInner {
-    entries: HashMap<u64, Entry>,
+    entries: HashMap<String, Entry>,
     /// Keys whose documents are being computed right now.
-    inflight: HashSet<u64>,
+    inflight: HashSet<String>,
     bytes: usize,
     /// Monotonic recency clock (bumped per lookup, not wall time).
     tick: u64,
@@ -102,7 +105,7 @@ impl ResultCache {
     /// Looks up `key`, blocking behind an identical in-flight request if
     /// one exists. Exactly one of the `hits` / `misses` / `coalesced`
     /// counters is bumped per call.
-    pub fn get_or_begin(&self, key: u64) -> Fetched<'_> {
+    pub fn get_or_begin(&self, key: String) -> Fetched<'_> {
         let mut waited = false;
         let mut inner = self.inner.lock().expect("cache lock poisoned");
         loop {
@@ -127,7 +130,7 @@ impl ResultCache {
             // Nobody has it and nobody is computing it: this caller is
             // the single flight. (A waiter whose leader abandoned lands
             // here too — it becomes the new miss.)
-            inner.inflight.insert(key);
+            inner.inflight.insert(key.clone());
             inner.misses += 1;
             return Fetched::Miss(ComputeGuard {
                 cache: self,
@@ -156,7 +159,7 @@ impl ResultCache {
         self.capacity
     }
 
-    fn insert(&self, key: u64, body: &Arc<String>) {
+    fn insert(&self, key: String, body: &Arc<String>) {
         let mut inner = self.inner.lock().expect("cache lock poisoned");
         inner.inflight.remove(&key);
         if body.len() > self.capacity {
@@ -166,7 +169,7 @@ impl ResultCache {
             let tick = inner.tick;
             inner.bytes += body.len();
             let prev = inner.entries.insert(
-                key,
+                key.clone(),
                 Entry {
                     body: Arc::clone(body),
                     last_used: tick,
@@ -181,7 +184,7 @@ impl ResultCache {
                     .iter()
                     .filter(|(k, _)| **k != key)
                     .min_by_key(|(_, e)| e.last_used)
-                    .map(|(k, _)| *k)
+                    .map(|(k, _)| k.clone())
                     .expect("bytes > capacity implies an evictable entry");
                 let evicted = inner.entries.remove(&oldest).expect("key exists");
                 inner.bytes -= evicted.body.len();
@@ -192,9 +195,9 @@ impl ResultCache {
         self.done.notify_all();
     }
 
-    fn abandon(&self, key: u64) {
+    fn abandon(&self, key: &str) {
         let mut inner = self.inner.lock().expect("cache lock poisoned");
-        inner.inflight.remove(&key);
+        inner.inflight.remove(key);
         drop(inner);
         self.done.notify_all();
     }
@@ -206,7 +209,7 @@ impl ResultCache {
 /// never wedges the key).
 pub struct ComputeGuard<'a> {
     cache: &'a ResultCache,
-    key: u64,
+    key: String,
     resolved: bool,
 }
 
@@ -216,21 +219,21 @@ impl ComputeGuard<'_> {
     pub fn fulfill(mut self, body: String) -> Arc<String> {
         self.resolved = true;
         let body = Arc::new(body);
-        self.cache.insert(self.key, &body);
+        self.cache.insert(std::mem::take(&mut self.key), &body);
         body
     }
 
     /// Releases the slot without a result (deadline exceeded, run error).
     pub fn abandon(mut self) {
         self.resolved = true;
-        self.cache.abandon(self.key);
+        self.cache.abandon(&self.key);
     }
 }
 
 impl Drop for ComputeGuard<'_> {
     fn drop(&mut self) {
         if !self.resolved {
-            self.cache.abandon(self.key);
+            self.cache.abandon(&self.key);
         }
     }
 }
@@ -239,8 +242,8 @@ impl Drop for ComputeGuard<'_> {
 mod tests {
     use super::*;
 
-    fn must_miss(cache: &ResultCache, key: u64) -> ComputeGuard<'_> {
-        match cache.get_or_begin(key) {
+    fn must_miss<'a>(cache: &'a ResultCache, key: &str) -> ComputeGuard<'a> {
+        match cache.get_or_begin(key.to_owned()) {
             Fetched::Miss(guard) => guard,
             _ => panic!("expected miss for key {key}"),
         }
@@ -249,8 +252,8 @@ mod tests {
     #[test]
     fn hit_after_fulfill() {
         let cache = ResultCache::new(1024);
-        must_miss(&cache, 7).fulfill("seven".to_owned());
-        match cache.get_or_begin(7) {
+        must_miss(&cache, "7").fulfill("seven".to_owned());
+        match cache.get_or_begin("7".to_owned()) {
             Fetched::Hit(body) => assert_eq!(*body, "seven"),
             _ => panic!("expected hit"),
         }
@@ -261,14 +264,26 @@ mod tests {
     #[test]
     fn lru_evicts_by_bytes_in_recency_order() {
         let cache = ResultCache::new(10);
-        must_miss(&cache, 1).fulfill("aaaa".to_owned()); // 4 bytes
-        must_miss(&cache, 2).fulfill("bbbb".to_owned()); // 8 bytes total
-                                                         // Touch key 1 so key 2 is now least recently used.
-        assert!(matches!(cache.get_or_begin(1), Fetched::Hit(_)));
-        must_miss(&cache, 3).fulfill("cccc".to_owned()); // 12 > 10: evict 2
-        assert!(matches!(cache.get_or_begin(1), Fetched::Hit(_)));
-        assert!(matches!(cache.get_or_begin(3), Fetched::Hit(_)));
-        assert!(matches!(cache.get_or_begin(2), Fetched::Miss(_)));
+        must_miss(&cache, "1").fulfill("aaaa".to_owned()); // 4 bytes
+        must_miss(&cache, "2").fulfill("bbbb".to_owned()); // 8 bytes total
+                                                           // Touch key 1 so key 2 is now least recently used.
+        assert!(matches!(
+            cache.get_or_begin("1".to_owned()),
+            Fetched::Hit(_)
+        ));
+        must_miss(&cache, "3").fulfill("cccc".to_owned()); // 12 > 10: evict 2
+        assert!(matches!(
+            cache.get_or_begin("1".to_owned()),
+            Fetched::Hit(_)
+        ));
+        assert!(matches!(
+            cache.get_or_begin("3".to_owned()),
+            Fetched::Hit(_)
+        ));
+        assert!(matches!(
+            cache.get_or_begin("2".to_owned()),
+            Fetched::Miss(_)
+        ));
         let c = cache.counters();
         assert_eq!(c.evictions, 1);
         assert_eq!(c.entries, 2);
@@ -278,8 +293,11 @@ mod tests {
     #[test]
     fn oversize_documents_are_not_stored() {
         let cache = ResultCache::new(4);
-        must_miss(&cache, 1).fulfill("too large to keep".to_owned());
-        assert!(matches!(cache.get_or_begin(1), Fetched::Miss(_)));
+        must_miss(&cache, "1").fulfill("too large to keep".to_owned());
+        assert!(matches!(
+            cache.get_or_begin("1".to_owned()),
+            Fetched::Miss(_)
+        ));
         let c = cache.counters();
         assert_eq!((c.oversize, c.entries, c.bytes), (1, 0, 0));
     }
@@ -287,11 +305,11 @@ mod tests {
     #[test]
     fn concurrent_identical_requests_coalesce() {
         let cache = Arc::new(ResultCache::new(1 << 20));
-        let guard = must_miss(&cache, 42);
+        let guard = must_miss(&cache, "42");
         let waiters: Vec<_> = (0..4)
             .map(|_| {
                 let cache = Arc::clone(&cache);
-                std::thread::spawn(move || match cache.get_or_begin(42) {
+                std::thread::spawn(move || match cache.get_or_begin("42".to_owned()) {
                     Fetched::Coalesced(body) => body.len(),
                     Fetched::Hit(body) => body.len(),
                     Fetched::Miss(_) => panic!("second flight for an in-flight key"),
@@ -316,10 +334,10 @@ mod tests {
     #[test]
     fn abandoned_flight_releases_waiters_to_recompute() {
         let cache = Arc::new(ResultCache::new(1 << 20));
-        let guard = must_miss(&cache, 9);
+        let guard = must_miss(&cache, "9");
         let waiter = {
             let cache = Arc::clone(&cache);
-            std::thread::spawn(move || match cache.get_or_begin(9) {
+            std::thread::spawn(move || match cache.get_or_begin("9".to_owned()) {
                 Fetched::Miss(g) => {
                     g.fulfill("recomputed".to_owned());
                     true

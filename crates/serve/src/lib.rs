@@ -57,9 +57,8 @@ pub use metrics::{QueueSnapshot, ServerMetrics};
 pub use request::{ExplainRequest, RunRequest};
 
 use multipath_bench::parallel::{self, WorkerPool};
-use multipath_core::{stats_json, CancelToken, EventFilter, ProbeConfig, Simulator};
+use multipath_core::{stats_json, CancelToken, ProbeConfig, RunSpec};
 use multipath_testkit::Json;
-use multipath_workload::mix;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -610,32 +609,27 @@ fn run_document(
     cancel: CancelToken,
     state: &ServerState,
 ) -> Result<String, RunError> {
-    let programs = mix::programs(&run.benches, run.seed);
-    let mut sim = Simulator::new(run.config.clone(), programs);
-    sim.set_cancel(cancel);
-    sim.enable_probes(ProbeConfig {
-        ring: None,
-        interval: Some(run.interval.max(1)),
-        spans: false,
-        explain: false,
-        filter: EventFilter::all(),
-    });
-    sim.enable_host_profile();
-    let total = run.commits.saturating_mul(run.benches.len() as u64);
-    sim.run(total, total.saturating_mul(100).max(1_000_000));
+    let spec = RunSpec {
+        probes: Some(ProbeConfig {
+            interval: Some(run.interval.max(1)),
+            ..ProbeConfig::default()
+        }),
+        host_profile: true,
+        cancel: Some(cancel),
+        ..run.spec()
+    };
+    let mut sim = spec.run();
     if sim.cancelled() {
         return Err(RunError::DeadlineExceeded);
     }
-    sim.finish_probes();
     if let Some(profile) = sim.host_profile() {
         state.metrics.record_profile(profile);
     }
-    let stats = sim.stats().clone();
     let probes = sim.take_probes().expect("probes were enabled");
     Ok(stats_json(
         &run.label(),
         run.features.label(),
-        &stats,
+        sim.stats(),
         probes.interval.as_ref(),
     ))
 }
@@ -644,30 +638,22 @@ fn run_document(
 /// `multipath-explain/v1` document — the pipeline behind
 /// `multipath explain --json-out`.
 fn explain_document(explain: &ExplainRequest, state: &ServerState) -> String {
-    let programs = mix::programs(&[explain.bench], explain.seed);
-    let mut sim = Simulator::new(explain.config.clone(), programs);
-    sim.enable_probes(ProbeConfig {
-        ring: None,
-        interval: None,
-        spans: false,
-        explain: true,
-        filter: EventFilter::all(),
-    });
-    sim.enable_host_profile();
-    let total = explain.commits;
-    sim.run(total, total.saturating_mul(100).max(1_000_000));
-    sim.finish_probes();
+    let spec = RunSpec {
+        probes: Some(ProbeConfig::explain()),
+        host_profile: true,
+        ..explain.spec()
+    };
+    let mut sim = spec.run();
     if let Some(profile) = sim.host_profile() {
         state.metrics.record_profile(profile);
     }
-    let stats = sim.stats().clone();
     let probes = sim.take_probes().expect("probes were enabled");
     let attr = probes.attribution.as_ref().expect("attribution sink on");
     let tree = probes.tree.as_ref().expect("path-tree sink on");
     multipath_core::explain_json(
         explain.bench.name(),
         explain.features.label(),
-        &stats,
+        sim.stats(),
         attr,
         tree,
         explain.top,

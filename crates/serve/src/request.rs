@@ -3,13 +3,12 @@
 //! A run request carries exactly the knobs the `multipath run`/`trace`
 //! CLI exposes, with the same spellings and the same defaults — the
 //! loopback smoke test depends on a JSON body and a CLI invocation
-//! mapping to the *same* simulation. The cache key is the FNV-1a digest
-//! of the canonical configuration string plus everything else that
-//! determines the result bytes (kernels, seed, commit budget, interval
-//! width); the deadline is deliberately excluded, since it changes when
-//! an answer arrives, never what it is.
+//! mapping to the *same* simulation. The cache key is the run's
+//! [`RunSpec::canonical_string`] plus the one document knob on top of it
+//! (interval width, or explain table depth); the deadline is deliberately
+//! excluded, since it changes when an answer arrives, never what it is.
 
-use multipath_core::{AltPolicy, Features, SimConfig};
+use multipath_core::{AltPolicy, Features, RunSpec, SimConfig};
 use multipath_testkit::Json;
 use multipath_workload::Benchmark;
 
@@ -136,21 +135,23 @@ impl RunRequest {
             .join("+")
     }
 
-    /// The content address of this request's result document.
-    pub fn cache_key(&self) -> u64 {
-        fnv1a(self.canonical_string().as_bytes())
-    }
-
-    /// The canonical form hashed by [`RunRequest::cache_key`]: field
-    /// order is fixed here, so JSON bodies spelling the same request with
-    /// reordered keys hash identically.
-    pub fn canonical_string(&self) -> String {
-        format!(
-            "run;config={};benches={};seed={};commits={};interval={}",
-            self.config.canonical_string(),
-            self.label(),
+    /// The simulation this request names, under the CLI's stopping rule.
+    pub fn spec(&self) -> RunSpec {
+        RunSpec::new(
+            self.config.clone(),
+            self.benches.clone(),
             self.seed,
             self.commits,
+        )
+    }
+
+    /// The content address of this request's result document: its
+    /// canonical form, so JSON bodies spelling the same request with
+    /// reordered keys share one key, and different requests never do.
+    pub fn cache_key(&self) -> String {
+        format!(
+            "{};interval={}",
+            self.spec().canonical_string(),
             self.interval
         )
     }
@@ -232,17 +233,20 @@ impl ExplainRequest {
         })
     }
 
-    /// The content address of this request's explain document.
-    pub fn cache_key(&self) -> u64 {
-        let canon = format!(
-            "explain;config={};bench={};seed={};commits={};top={}",
-            self.config.canonical_string(),
-            self.bench.name(),
+    /// The simulation this request names, under the CLI's stopping rule.
+    pub fn spec(&self) -> RunSpec {
+        RunSpec::new(
+            self.config.clone(),
+            vec![self.bench],
             self.seed,
             self.commits,
-            self.top
-        );
-        fnv1a(canon.as_bytes())
+        )
+    }
+
+    /// The content address of this request's explain document (see
+    /// [`RunRequest::cache_key`]).
+    pub fn cache_key(&self) -> String {
+        format!("{};top={}", self.spec().canonical_string(), self.top)
     }
 }
 
@@ -254,19 +258,6 @@ fn parse_u64(doc: &Json, key: &str) -> Result<Option<u64>, String> {
             .map(Some)
             .ok_or_else(|| format!("{key:?} must be a non-negative integer")),
     }
-}
-
-/// FNV-1a 64 — the workspace's standard content-address digest (the same
-/// function fingerprints canonical configurations in `multipath-core`).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -307,6 +298,11 @@ mod tests {
         )
         .unwrap();
         assert_eq!(a.cache_key(), b.cache_key());
+        // The key is the canonical string itself, not a digest of it.
+        assert_eq!(
+            a.cache_key(),
+            format!("{};interval=100", a.spec().canonical_string())
+        );
         // Deadline is excluded: it cannot change the result bytes.
         let c = RunRequest::parse(
             r#"{"benches": ["compress","gcc"], "seed": 3, "commits": 500,

@@ -11,6 +11,7 @@
 //!   parser, and any `schema` tag it carries is one the code emits.
 //! * `CHANGES.md` PR entries are in strictly increasing order, so the
 //!   change log reads chronologically.
+//! * The quick budget EXPERIMENTS.md quotes is `Budget::quick()`.
 
 use multipath_testkit::Json;
 use std::collections::BTreeMap;
@@ -24,7 +25,10 @@ fn repo_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// Every *.md tracked by git, relative to the repo root.
+/// Every *.md tracked by git that is present in the working tree,
+/// relative to the repo root. A tracked file deleted from the tree has no
+/// claims left to check; a link to it still fails, since links resolve
+/// against the disk.
 fn checked_in_markdown() -> Vec<PathBuf> {
     let root = repo_root();
     let out = std::process::Command::new("git")
@@ -38,6 +42,7 @@ fn checked_in_markdown() -> Vec<PathBuf> {
         .split('\0')
         .filter(|p| !p.is_empty())
         .map(PathBuf::from)
+        .filter(|p| root.join(p).exists())
         .collect();
     files.sort();
     assert!(
@@ -315,4 +320,45 @@ fn changelog_entries_are_in_order() {
             pair[1]
         );
     }
+}
+
+/// The number written just before `unit` in `text` (`"4,000 commits"`).
+fn quoted_number(text: &str, unit: &str) -> Option<u64> {
+    let head = text[..text.find(unit)?].trim_end();
+    let start = head
+        .rfind(|c: char| !c.is_ascii_digit() && c != ',')
+        .map_or(0, |i| i + 1);
+    head[start..].replace(',', "").parse().ok()
+}
+
+#[test]
+fn quoted_quick_budget_matches_the_code() {
+    let quick = multipath_bench::Budget::quick();
+    let text = std::fs::read_to_string(repo_root().join("EXPERIMENTS.md")).unwrap();
+    // Quotes wrap across lines; compare on whitespace-normalised prose.
+    let prose = text.split_whitespace().collect::<Vec<_>>().join(" ");
+    let mut quotes = 0;
+    for marker in ["`MULTIPATH_BUDGET=quick`", "`Budget::quick()`"] {
+        for (at, _) in prose.match_indices(marker) {
+            let window: String = prose[at + marker.len()..].chars().take(60).collect();
+            let Some(commits) = quoted_number(&window, " commits") else {
+                continue;
+            };
+            assert_eq!(
+                commits, quick.committed_per_program,
+                "EXPERIMENTS.md quotes {commits} commits for the quick budget: {window}"
+            );
+            if let Some(mixes) = quoted_number(&window, " mixes") {
+                assert_eq!(
+                    mixes, quick.mixes as u64,
+                    "EXPERIMENTS.md quotes {mixes} mixes for the quick budget: {window}"
+                );
+            }
+            quotes += 1;
+        }
+    }
+    assert!(
+        quotes > 0,
+        "EXPERIMENTS.md no longer quotes the quick budget"
+    );
 }

@@ -15,9 +15,9 @@
 //! MP_UPDATE_GOLDEN=1 cargo test -p multipath-tests --test explain_drift
 //! ```
 
-use multipath_core::{explain_json, EventFilter, Features, ProbeConfig, SimConfig, Simulator};
+use multipath_core::{explain_json, Features, ProbeConfig, RunSpec, SimConfig};
 use multipath_testkit::Json;
-use multipath_workload::{kernels, Benchmark};
+use multipath_workload::Benchmark;
 
 /// The quick budget (`Budget::quick()` in `multipath-bench`), restated
 /// because the golden documents are only meaningful at this exact size.
@@ -42,17 +42,13 @@ fn golden_dir() -> std::path::PathBuf {
 /// document exactly as `multipath explain` would.
 fn explain_doc(bench: Benchmark) -> String {
     let features = Features::rec_rs_ru();
-    let program = kernels::build(bench, SEED);
-    let mut sim = Simulator::new(SimConfig::big_2_16().with_features(features), vec![program]);
-    sim.enable_probes(ProbeConfig {
-        ring: None,
-        interval: None,
-        spans: false,
-        explain: true,
-        filter: EventFilter::all(),
-    });
-    sim.run(COMMITS, MAX_CYCLES);
-    sim.finish_probes();
+    let config = SimConfig::big_2_16().with_features(features);
+    let mut sim = RunSpec {
+        max_cycles: MAX_CYCLES,
+        probes: Some(ProbeConfig::explain()),
+        ..RunSpec::new(config, vec![bench], SEED, COMMITS)
+    }
+    .run();
     let probes = sim.take_probes().expect("probes enabled");
     explain_json(
         bench.name(),

@@ -15,9 +15,9 @@
 //! MP_UPDATE_GOLDEN=1 cargo test -p multipath-tests --test stats_drift
 //! ```
 
-use multipath_core::{stats_json, Features, ProbeConfig, SimConfig, Simulator};
+use multipath_core::{stats_json, Features, ProbeConfig, RunSpec, SimConfig};
 use multipath_testkit::Json;
-use multipath_workload::{kernels, Benchmark};
+use multipath_workload::Benchmark;
 
 /// The quick budget (`Budget::quick()` in `multipath-bench`), restated
 /// because the golden documents are only meaningful at this exact size.
@@ -39,14 +39,16 @@ fn golden_dir() -> std::path::PathBuf {
 /// document exactly as `multipath trace` would.
 fn stats_doc(bench: Benchmark) -> String {
     let features = Features::rec_rs_ru();
-    let program = kernels::build(bench, SEED);
-    let mut sim = Simulator::new(SimConfig::big_2_16().with_features(features), vec![program]);
-    sim.enable_probes(ProbeConfig {
-        interval: Some(INTERVAL),
-        ..ProbeConfig::default()
-    });
-    sim.run(COMMITS, MAX_CYCLES);
-    sim.finish_probes();
+    let config = SimConfig::big_2_16().with_features(features);
+    let mut sim = RunSpec {
+        max_cycles: MAX_CYCLES,
+        probes: Some(ProbeConfig {
+            interval: Some(INTERVAL),
+            ..ProbeConfig::default()
+        }),
+        ..RunSpec::new(config, vec![bench], SEED, COMMITS)
+    }
+    .run();
     let probes = sim.take_probes().expect("probes enabled");
     stats_json(
         bench.name(),
