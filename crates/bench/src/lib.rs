@@ -1,16 +1,18 @@
 //! Experiment harness for the HPCA'99 instruction-recycling reproduction.
 //!
-//! Every table and figure of the paper's evaluation has a runner here and a
-//! binary that prints it (`cargo run --release -p multipath-bench --bin
-//! fig3`, `fig4`, `fig5`, `fig6`, `table1`). The bench target
-//! (`cargo bench -p multipath-bench`) times representative simulations of
-//! each experiment so regressions in simulator throughput are visible.
+//! Every figure of the paper's evaluation (Figures 3–6 and Table 1) is a
+//! declared [`Figure`]: the grid of cells it runs — machine × features ×
+//! alternate-path policy × program mix — plus one aggregation from the
+//! cells' statistics to a [`Table`]. `multipath figures` prints them.
 //!
-//! Sweeps run on the [`parallel`] engine: each figure builds its full
-//! cell list, shards it across `MULTIPATH_THREADS` workers (default: all
-//! cores), and aggregates in cell-list order, so output is byte-identical
-//! at any thread count. `MULTIPATH_BUDGET=quick` selects the smoke-sized
-//! budget; `MP_BENCH_COMMITS`/`MP_BENCH_MIXES` fine-tune it.
+//! [`tables`] runs the cells of any set of figures on the [`parallel`]
+//! engine, simulating each distinct cell once (Figure 3 and Table 1 are
+//! subsets of Figure 4, for instance), and hands every figure its own
+//! cells' statistics in its own order, so output is byte-identical at any
+//! thread count and whether a figure runs alone or with the others.
+//! Workers via `MULTIPATH_THREADS` (default: all cores);
+//! `MULTIPATH_BUDGET=quick` selects the smoke-sized budget and
+//! `MP_BENCH_COMMITS`/`MP_BENCH_MIXES` fine-tune it.
 //!
 //! Absolute IPC is not expected to match the paper (its workloads were
 //! SPEC95 Alpha binaries on the authors' simulator; ours are synthetic
@@ -18,8 +20,9 @@
 //! which configuration wins, how gains move with program count, and where
 //! the recycling statistics land.
 
-use multipath_core::{AltPolicy, EventFilter, Features, ProbeConfig, RunSpec, SimConfig, Stats};
+use multipath_core::{AltPolicy, Features, ProbeConfig, ReuseDeny, RunSpec, SimConfig, Stats};
 use multipath_workload::{mix, Benchmark};
+use std::collections::HashMap;
 
 pub mod parallel;
 
@@ -49,7 +52,7 @@ impl Budget {
         }
     }
 
-    /// A fast smoke-sized budget for tests and bench timing.
+    /// A fast smoke-sized budget for tests.
     pub fn quick() -> Budget {
         Budget {
             committed_per_program: 4_000,
@@ -115,23 +118,17 @@ pub fn run_cell(cell: &Cell, budget: &Budget) -> Stats {
     cell.spec(budget).run().stats().clone()
 }
 
-/// Runs one cell with the full observability stack enabled — interval
-/// time series, span recorder, and a bounded event ring — for the
-/// probe-overhead A/B in the `hotpath` harness. Probes observe without
-/// perturbing, so the returned statistics are bit-identical to
-/// [`run_cell`]'s (the harness asserts this).
-pub fn run_cell_probed(cell: &Cell, budget: &Budget) -> Stats {
-    let spec = RunSpec {
-        probes: Some(ProbeConfig {
-            ring: Some(1024),
-            interval: Some(100),
-            spans: true,
-            explain: true,
-            filter: EventFilter::all(),
-        }),
-        ..cell.spec(budget)
-    };
-    spec.run().stats().clone()
+/// Panics, naming the cell, if it stopped short of its commit target —
+/// a cell that ran into `max_cycles` must not be averaged in silently.
+fn check_target(cell: &Cell, stats: &Stats, budget: &Budget) {
+    let target = budget.committed_per_program * cell.workload.len() as u64;
+    assert!(
+        stats.committed >= target,
+        "cell missed its commit target ({} of {target} committed in {} cycles): {}",
+        stats.committed,
+        stats.cycles,
+        cell.spec(budget).canonical_string()
+    );
 }
 
 /// The cell for `bench` running alone under `features` on the baseline
@@ -142,11 +139,6 @@ fn single_cell(bench: Benchmark, features: Features, budget: &Budget) -> Cell {
         workload: vec![bench],
         seed: budget.seed,
     }
-}
-
-/// Convenience: run `bench` alone under `features` on the baseline machine.
-pub fn run_single(bench: Benchmark, features: Features, budget: &Budget) -> Stats {
-    run_cell(&single_cell(bench, features, budget), budget)
 }
 
 /// The cells behind one multi-program average: the paper's evenly-weighted
@@ -170,367 +162,6 @@ fn mix_cells(config: &SimConfig, n_programs: usize, budget: &Budget) -> Vec<Cell
 /// determinism gate compares serial and parallel output byte-for-byte).
 fn mean_ipc(stats: &[Stats]) -> f64 {
     stats.iter().map(Stats::ipc).sum::<f64>() / stats.len() as f64
-}
-
-/// Average IPC over the paper's evenly-weighted permutations of `n`
-/// programs (limited to `budget.mixes` rotations).
-pub fn average_ipc(config: &SimConfig, n_programs: usize, budget: &Budget) -> f64 {
-    mean_ipc(&parallel::run_cells(
-        &mix_cells(config, n_programs, budget),
-        budget,
-    ))
-}
-
-// ---------------------------------------------------------------------
-// Figure 3: per-program IPC under the six configurations.
-// ---------------------------------------------------------------------
-
-/// One Figure 3 row: a benchmark and its IPC under each configuration.
-#[derive(Debug, Clone)]
-pub struct Fig3Row {
-    /// The benchmark.
-    pub bench: Benchmark,
-    /// IPC per configuration, in [`Features::all_six`] order.
-    pub ipc: [f64; 6],
-}
-
-/// The full Figure 3 cell list (8 benchmarks × 6 configurations), in the
-/// order `figure3` aggregates them. Exposed so the `hotpath` throughput
-/// harness times exactly the sweep the figure runs.
-pub fn figure3_cells(budget: &Budget) -> Vec<Cell> {
-    Benchmark::ALL
-        .into_iter()
-        .flat_map(|bench| {
-            Features::all_six()
-                .into_iter()
-                .map(move |f| single_cell(bench, f, budget))
-        })
-        .collect()
-}
-
-/// Runs Figure 3 (single-program IPC for SMT/TME/REC/REC-RU/REC-RS/
-/// REC-RS-RU on the baseline machine). All 48 cells run in parallel.
-pub fn figure3(budget: &Budget) -> Vec<Fig3Row> {
-    let cells = figure3_cells(budget);
-    let stats = parallel::run_cells(&cells, budget);
-    Benchmark::ALL
-        .into_iter()
-        .enumerate()
-        .map(|(bi, bench)| {
-            let mut ipc = [0.0; 6];
-            for (fi, v) in ipc.iter_mut().enumerate() {
-                *v = stats[bi * 6 + fi].ipc();
-            }
-            Fig3Row { bench, ipc }
-        })
-        .collect()
-}
-
-/// Renders Figure 3 as an aligned text table.
-pub fn render_figure3(rows: &[Fig3Row]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("{:10}", "bench"));
-    for f in Features::all_six() {
-        out.push_str(&format!(" {:>9}", f.label()));
-    }
-    out.push('\n');
-    for row in rows {
-        out.push_str(&format!("{:10}", row.bench.name()));
-        for v in row.ipc {
-            out.push_str(&format!(" {v:>9.2}"));
-        }
-        out.push('\n');
-    }
-    let mut avg = [0.0; 6];
-    for row in rows {
-        for (a, v) in avg.iter_mut().zip(row.ipc) {
-            *a += v / rows.len() as f64;
-        }
-    }
-    out.push_str(&format!("{:10}", "average"));
-    for v in avg {
-        out.push_str(&format!(" {v:>9.2}"));
-    }
-    out.push('\n');
-    out
-}
-
-// ---------------------------------------------------------------------
-// Figure 4: average IPC for 1/2/4 programs under the six configurations.
-// ---------------------------------------------------------------------
-
-/// One Figure 4 row: program count and average IPC per configuration.
-#[derive(Debug, Clone)]
-pub struct Fig4Row {
-    /// Number of co-scheduled programs.
-    pub programs: usize,
-    /// Average IPC per configuration, in [`Features::all_six`] order.
-    pub ipc: [f64; 6],
-}
-
-/// Runs Figure 4. The whole grid (3 program counts × 6 configurations ×
-/// up to 8 mixes) is flattened into one parallel sweep.
-pub fn figure4(budget: &Budget) -> Vec<Fig4Row> {
-    let mut cells = Vec::new();
-    let mut spans = Vec::new();
-    for n in [1usize, 2, 4] {
-        for features in Features::all_six() {
-            let config = SimConfig::big_2_16().with_features(features);
-            let start = cells.len();
-            cells.extend(mix_cells(&config, n, budget));
-            spans.push(start..cells.len());
-        }
-    }
-    let stats = parallel::run_cells(&cells, budget);
-    [1usize, 2, 4]
-        .into_iter()
-        .enumerate()
-        .map(|(ni, n)| {
-            let mut ipc = [0.0; 6];
-            for (fi, v) in ipc.iter_mut().enumerate() {
-                *v = mean_ipc(&stats[spans[ni * 6 + fi].clone()]);
-            }
-            Fig4Row { programs: n, ipc }
-        })
-        .collect()
-}
-
-/// Renders Figure 4 as an aligned text table.
-pub fn render_figure4(rows: &[Fig4Row]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("{:10}", "programs"));
-    for f in Features::all_six() {
-        out.push_str(&format!(" {:>9}", f.label()));
-    }
-    out.push('\n');
-    for row in rows {
-        out.push_str(&format!("{:10}", row.programs));
-        for v in row.ipc {
-            out.push_str(&format!(" {v:>9.2}"));
-        }
-        out.push('\n');
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
-// Figure 5: alternate-path fetch-limit policies.
-// ---------------------------------------------------------------------
-
-/// One Figure 5 row: a policy and its average IPC for 1/2/4 programs.
-#[derive(Debug, Clone)]
-pub struct Fig5Row {
-    /// The alternate-path policy.
-    pub policy: AltPolicy,
-    /// Average IPC at 1, 2, and 4 programs.
-    pub ipc: [f64; 3],
-}
-
-/// Runs Figure 5 (nine policies under the full REC/RS/RU architecture),
-/// flattened into one parallel sweep.
-pub fn figure5(budget: &Budget) -> Vec<Fig5Row> {
-    let policies = AltPolicy::figure5_sweep();
-    let mut cells = Vec::new();
-    let mut spans = Vec::new();
-    for &policy in &policies {
-        let config = SimConfig::big_2_16()
-            .with_features(Features::rec_rs_ru())
-            .with_alt_policy(policy);
-        for n in [1usize, 2, 4] {
-            let start = cells.len();
-            cells.extend(mix_cells(&config, n, budget));
-            spans.push(start..cells.len());
-        }
-    }
-    let stats = parallel::run_cells(&cells, budget);
-    policies
-        .into_iter()
-        .enumerate()
-        .map(|(pi, policy)| {
-            let mut ipc = [0.0; 3];
-            for (ni, v) in ipc.iter_mut().enumerate() {
-                *v = mean_ipc(&stats[spans[pi * 3 + ni].clone()]);
-            }
-            Fig5Row { policy, ipc }
-        })
-        .collect()
-}
-
-/// Renders Figure 5 as an aligned text table.
-pub fn render_figure5(rows: &[Fig5Row]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:12} {:>10} {:>10} {:>10}\n",
-        "policy", "1 prog", "2 progs", "4 progs"
-    ));
-    for row in rows {
-        out.push_str(&format!(
-            "{:12} {:>10.2} {:>10.2} {:>10.2}\n",
-            row.policy.label(),
-            row.ipc[0],
-            row.ipc[1],
-            row.ipc[2]
-        ));
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
-// Figure 6: limited-resource machine models.
-// ---------------------------------------------------------------------
-
-/// The four machine models of Section 5.3.
-pub fn figure6_machines() -> [(&'static str, SimConfig); 4] {
-    [
-        ("small.1.8", SimConfig::small_1_8()),
-        ("small.2.8", SimConfig::small_2_8()),
-        ("big.1.8", SimConfig::big_1_8()),
-        ("big.2.16", SimConfig::big_2_16()),
-    ]
-}
-
-/// One Figure 6 row: machine × configuration × program count.
-#[derive(Debug, Clone)]
-pub struct Fig6Row {
-    /// Machine model name.
-    pub machine: &'static str,
-    /// Configuration label (`SMT`, `TME`, `REC/RS/RU`).
-    pub features: Features,
-    /// Average IPC at 1, 2, and 4 programs.
-    pub ipc: [f64; 3],
-}
-
-/// Runs Figure 6 (SMT vs TME vs REC/RS/RU on each machine model),
-/// flattened into one parallel sweep.
-pub fn figure6(budget: &Budget) -> Vec<Fig6Row> {
-    let mut cells = Vec::new();
-    let mut keys = Vec::new();
-    let mut spans = Vec::new();
-    for (machine, base) in figure6_machines() {
-        for features in [Features::smt(), Features::tme(), Features::rec_rs_ru()] {
-            let config = base.clone().with_features(features);
-            let mut row_spans = [0..0, 0..0, 0..0];
-            for (ni, n) in [1usize, 2, 4].into_iter().enumerate() {
-                let start = cells.len();
-                cells.extend(mix_cells(&config, n, budget));
-                row_spans[ni] = start..cells.len();
-            }
-            keys.push((machine, features));
-            spans.push(row_spans);
-        }
-    }
-    let stats = parallel::run_cells(&cells, budget);
-    keys.into_iter()
-        .zip(spans)
-        .map(|((machine, features), row_spans)| {
-            let mut ipc = [0.0; 3];
-            for (ni, v) in ipc.iter_mut().enumerate() {
-                *v = mean_ipc(&stats[row_spans[ni].clone()]);
-            }
-            Fig6Row {
-                machine,
-                features,
-                ipc,
-            }
-        })
-        .collect()
-}
-
-/// Renders Figure 6 as an aligned text table.
-pub fn render_figure6(rows: &[Fig6Row]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:10} {:10} {:>10} {:>10} {:>10}\n",
-        "machine", "config", "1 prog", "2 progs", "4 progs"
-    ));
-    for row in rows {
-        out.push_str(&format!(
-            "{:10} {:10} {:>10.2} {:>10.2} {:>10.2}\n",
-            row.machine,
-            row.features.label(),
-            row.ipc[0],
-            row.ipc[1],
-            row.ipc[2]
-        ));
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
-// Table 1: recycling statistics.
-// ---------------------------------------------------------------------
-
-/// One Table 1 row (per benchmark or a multi-program average).
-#[derive(Debug, Clone)]
-pub struct Table1Row {
-    /// Row label (benchmark name or `"N progs avg"`).
-    pub label: String,
-    /// % of renamed instructions recycled.
-    pub pct_recycled: f64,
-    /// % of renamed instructions reused.
-    pub pct_reused: f64,
-    /// % of mispredicted branches covered by a fork.
-    pub pct_miss_cov: f64,
-    /// % of forks used by TME.
-    pub pct_forks_tme: f64,
-    /// % of forks recycled at least once.
-    pub pct_forks_recycled: f64,
-    /// % of forks re-spawned at least once.
-    pub pct_forks_respawned: f64,
-    /// Average merges per recycled alternate path.
-    pub merges_per_alt: f64,
-    /// % of merges that were backward-branch merges.
-    pub pct_back_merges: f64,
-}
-
-impl Table1Row {
-    fn from_stats(label: String, s: &Stats) -> Table1Row {
-        Table1Row {
-            label,
-            pct_recycled: s.pct_recycled(),
-            pct_reused: s.pct_reused(),
-            pct_miss_cov: s.pct_miss_covered(),
-            pct_forks_tme: s.pct_forks_tme(),
-            pct_forks_recycled: s.pct_forks_recycled(),
-            pct_forks_respawned: s.pct_forks_respawned(),
-            merges_per_alt: s.merges_per_alt_path(),
-            pct_back_merges: s.pct_back_merges(),
-        }
-    }
-}
-
-/// Runs Table 1: per-benchmark recycling statistics under REC/RS/RU, plus
-/// 2- and 4-program averages. Singles and mix cells share one parallel
-/// sweep.
-pub fn table1(budget: &Budget) -> Vec<Table1Row> {
-    let singles = Benchmark::ALL.len();
-    let mut cells: Vec<Cell> = Benchmark::ALL
-        .into_iter()
-        .map(|bench| single_cell(bench, Features::rec_rs_ru(), budget))
-        .collect();
-    let mut spans = Vec::new();
-    for n in [2usize, 4] {
-        let config = SimConfig::big_2_16().with_features(Features::rec_rs_ru());
-        let start = cells.len();
-        cells.extend(mix_cells(&config, n, budget));
-        spans.push((n, start..cells.len()));
-    }
-    let stats = parallel::run_cells(&cells, budget);
-    let mut rows = Vec::new();
-    for (bench, s) in Benchmark::ALL.into_iter().zip(&stats) {
-        rows.push(Table1Row::from_stats(bench.name().to_owned(), s));
-    }
-    rows.push(Table1Row::from_stats(
-        "1 prog avg".to_owned(),
-        &combine(&stats[..singles]),
-    ));
-    for (n, span) in spans {
-        rows.push(Table1Row::from_stats(
-            format!("{n} progs avg"),
-            &combine(&stats[span]),
-        ));
-    }
-    rows
 }
 
 /// Sums raw counters across runs so the averages are instruction-weighted,
@@ -561,124 +192,514 @@ fn combine(all: &[Stats]) -> Stats {
     acc
 }
 
-/// Renders Table 1 as an aligned text table.
-pub fn render_table1(rows: &[Table1Row]) -> String {
+// ---------------------------------------------------------------------
+// Tables: one type renders every figure as aligned text or CSV.
+// ---------------------------------------------------------------------
+
+/// How one table column prints.
+#[derive(Debug, Clone)]
+struct Column {
+    /// Header of the text form.
+    header: String,
+    /// Header of the CSV form.
+    csv: String,
+    /// Width of the text form.
+    width: usize,
+    /// Decimal places of a float: in the text form, then in the CSV form.
+    precision: [usize; 2],
+}
+
+impl Column {
+    /// A value column.
+    fn new(header: &str, csv: &str, width: usize, precision: [usize; 2]) -> Column {
+        Column {
+            header: header.to_owned(),
+            csv: csv.to_owned(),
+            width,
+            precision,
+        }
+    }
+
+    /// A row-label column: its CSV header is its text header.
+    fn key(header: &str, width: usize) -> Column {
+        Column::new(header, header, width, [0, 0])
+    }
+}
+
+/// One table entry.
+#[derive(Debug, Clone, PartialEq)]
+enum Value {
+    /// A label.
+    Text(String),
+    /// A count.
+    Int(u64),
+    /// A measurement, printed at its column's precision.
+    Float(f64),
+}
+
+/// A rendered-to-be figure: columns, rows, and an optional summary row.
+#[derive(Debug, Clone)]
+pub struct Table {
+    /// The columns, row labels first.
+    columns: Vec<Column>,
+    /// How many leading columns label the row.
+    keys: usize,
+    /// One value per column in each row.
+    rows: Vec<Vec<Value>>,
+    /// A summary row that the text form prints last and the CSV form
+    /// leaves out (Figure 3's average).
+    footer: Option<Vec<Value>>,
+}
+
+impl Table {
+    fn new(columns: Vec<Column>, keys: usize, rows: Vec<Vec<Value>>) -> Table {
+        Table {
+            columns,
+            keys,
+            rows,
+            footer: None,
+        }
+    }
+}
+
+/// A table as aligned text: columns separated by one space, each padded
+/// to its width; row labels and their headers left-aligned, every other
+/// entry right-aligned.
+pub fn render_text(table: &Table) -> String {
+    let headers = table.columns.iter().map(|c| Value::Text(c.header.clone()));
+    let rows = [headers.collect()];
+    let rows = rows.iter().chain(&table.rows).chain(&table.footer);
+    render(table, rows, " ", |i, c, v| {
+        let (w, p) = (c.width, c.precision[0]);
+        match v {
+            Value::Text(s) if i < table.keys => format!("{s:<w$}"),
+            Value::Text(s) => format!("{s:>w$}"),
+            Value::Int(n) => format!("{n:>w$}"),
+            Value::Float(x) => format!("{x:>w$.p$}"),
+        }
+    })
+}
+
+/// A table as CSV (for plotting): the CSV headers, then the rows.
+pub fn render_csv(table: &Table) -> String {
+    let headers = table.columns.iter().map(|c| Value::Text(c.csv.clone()));
+    let rows = [headers.collect()];
+    render(
+        table,
+        rows.iter().chain(&table.rows),
+        ",",
+        |_, c, v| match v {
+            Value::Text(s) => s.clone(),
+            Value::Int(n) => n.to_string(),
+            Value::Float(x) => format!("{x:.p$}", p = c.precision[1]),
+        },
+    )
+}
+
+/// One line per row: the row's entries, each formatted by `entry` (given
+/// its column index and column), joined by `sep`.
+fn render<'a>(
+    table: &Table,
+    rows: impl Iterator<Item = &'a Vec<Value>>,
+    sep: &str,
+    entry: impl Fn(usize, &Column, &Value) -> String,
+) -> String {
     let mut out = String::new();
-    out.push_str(&format!(
-        "{:12} {:>8} {:>7} {:>9} {:>6} {:>6} {:>8} {:>10} {:>7}\n",
-        "program",
-        "recyc%",
-        "reuse%",
-        "misscov%",
-        "tme%",
-        "recyc%",
-        "respawn%",
-        "merges/alt",
-        "back%"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:12} {:>8.1} {:>7.1} {:>9.1} {:>6.1} {:>6.1} {:>8.1} {:>10.1} {:>7.1}\n",
-            r.label,
-            r.pct_recycled,
-            r.pct_reused,
-            r.pct_miss_cov,
-            r.pct_forks_tme,
-            r.pct_forks_recycled,
-            r.pct_forks_respawned,
-            r.merges_per_alt,
-            r.pct_back_merges
-        ));
+    for row in rows {
+        let entries: Vec<String> = (table.columns.iter().zip(row).enumerate())
+            .map(|(i, (c, v))| entry(i, c, v))
+            .collect();
+        out.push_str(&entries.join(sep));
+        out.push('\n');
     }
     out
+}
+
+// The per-figure names of the text renderer, kept for existing callers.
+pub use render_text as render_figure3;
+pub use render_text as render_figure4;
+pub use render_text as render_figure5;
+pub use render_text as render_figure6;
+pub use render_text as render_table1;
+
+// ---------------------------------------------------------------------
+// Figures: declared cell grids.
+// ---------------------------------------------------------------------
+
+/// Every name `multipath figures` renders, in its default order.
+pub const FIGURES: [&str; 6] = ["fig3", "fig4", "fig5", "fig6", "table1", "explain"];
+
+/// A figure of the paper's evaluation: the cells it runs and how their
+/// statistics become its table.
+pub struct Figure {
+    /// The name `multipath figures` knows it by.
+    pub name: &'static str,
+    /// Every cell, in the order the aggregation reads their statistics.
+    pub cells: Vec<Cell>,
+    aggregate: Aggregate,
+}
+
+/// A figure's aggregation: its cells' statistics, in cell order, to its
+/// table.
+type Aggregate = Box<dyn Fn(&[Stats]) -> Table>;
+
+impl Figure {
+    fn new(
+        name: &'static str,
+        cells: Vec<Cell>,
+        aggregate: impl Fn(&[Stats]) -> Table + 'static,
+    ) -> Figure {
+        Figure {
+            name,
+            cells,
+            aggregate: Box::new(aggregate),
+        }
+    }
+
+    /// The figure's table from `stats[i]`, the statistics of `cells[i]`.
+    pub fn table(&self, stats: &[Stats]) -> Table {
+        (self.aggregate)(stats)
+    }
+}
+
+/// The sweep figure `name` (any of [`FIGURES`] but `explain`) declared at
+/// `budget`; `None` for any other name.
+pub fn figure(name: &str, budget: &Budget) -> Option<Figure> {
+    Some(match name {
+        "fig3" => fig3(budget),
+        "fig4" => fig4(budget),
+        "fig5" => fig5(budget),
+        "fig6" => fig6(budget),
+        "table1" => fig_table1(budget),
+        _ => return None,
+    })
+}
+
+/// Mean-IPC rows: each row is its labels followed by the mean IPC of
+/// each of its cell groups. Returns the flattened cells and the
+/// aggregation from their statistics to the rows.
+fn ipc_rows(
+    rows: Vec<(Vec<Value>, Vec<Vec<Cell>>)>,
+) -> (Vec<Cell>, impl Fn(&[Stats]) -> Vec<Vec<Value>>) {
+    let mut cells = Vec::new();
+    let mut shape = Vec::new();
+    for (labels, groups) in rows {
+        shape.push((labels, groups.iter().map(Vec::len).collect::<Vec<_>>()));
+        cells.extend(groups.into_iter().flatten());
+    }
+    let aggregate = move |stats: &[Stats]| {
+        let mut rest = stats;
+        shape
+            .iter()
+            .map(|(labels, sizes)| {
+                let mut row = labels.clone();
+                for &n in sizes {
+                    let (group, tail) = rest.split_at(n);
+                    row.push(Value::Float(mean_ipc(group)));
+                    rest = tail;
+                }
+                row
+            })
+            .collect()
+    };
+    (cells, aggregate)
+}
+
+/// One IPC column per feature set, in [`Features::all_six`] order, after
+/// the row label `key` (Figures 3 and 4).
+fn feature_columns(key: &str) -> Vec<Column> {
+    let mut columns = vec![Column::key(key, 10)];
+    for f in Features::all_six() {
+        let csv = f.label().to_lowercase().replace('/', "_");
+        columns.push(Column::new(f.label(), &csv, 9, [2, 4]));
+    }
+    columns
+}
+
+/// One IPC column per program count (Figures 5 and 6).
+fn program_columns() -> [Column; 3] {
+    [
+        Column::new("1 prog", "p1", 10, [2, 4]),
+        Column::new("2 progs", "p2", 10, [2, 4]),
+        Column::new("4 progs", "p4", 10, [2, 4]),
+    ]
+}
+
+/// Mix cells of `config` at 1, 2, and 4 programs: one group each.
+fn program_groups(config: &SimConfig, budget: &Budget) -> Vec<Vec<Cell>> {
+    [1, 2, 4]
+        .into_iter()
+        .map(|n| mix_cells(config, n, budget))
+        .collect()
+}
+
+/// The full Figure 3 cell list (8 benchmarks × 6 configurations), in the
+/// order `figure3` aggregates them.
+pub fn figure3_cells(budget: &Budget) -> Vec<Cell> {
+    Benchmark::ALL
+        .into_iter()
+        .flat_map(|bench| {
+            Features::all_six()
+                .into_iter()
+                .map(move |f| single_cell(bench, f, budget))
+        })
+        .collect()
+}
+
+/// Figure 3: single-program IPC per benchmark under the six
+/// configurations, with an average row in the text form.
+fn fig3(budget: &Budget) -> Figure {
+    Figure::new("fig3", figure3_cells(budget), |stats| {
+        let n = Benchmark::ALL.len() as f64;
+        let mut average = [0.0; 6];
+        let mut rows = Vec::new();
+        for (bench, chunk) in Benchmark::ALL.into_iter().zip(stats.chunks(6)) {
+            let mut row = vec![Value::Text(bench.name().to_owned())];
+            for (a, s) in average.iter_mut().zip(chunk) {
+                *a += s.ipc() / n;
+                row.push(Value::Float(s.ipc()));
+            }
+            rows.push(row);
+        }
+        let mut footer = vec![Value::Text("average".to_owned())];
+        footer.extend(average.map(Value::Float));
+        Table {
+            footer: Some(footer),
+            ..Table::new(feature_columns("bench"), 1, rows)
+        }
+    })
+}
+
+/// Figure 4: average IPC for 1, 2, and 4 programs under the six
+/// configurations on big.2.16.
+fn fig4(budget: &Budget) -> Figure {
+    let (cells, rows) = ipc_rows(
+        [1usize, 2, 4]
+            .into_iter()
+            .map(|n| {
+                let groups = Features::all_six()
+                    .into_iter()
+                    .map(|f| mix_cells(&SimConfig::big_2_16().with_features(f), n, budget))
+                    .collect();
+                (vec![Value::Int(n as u64)], groups)
+            })
+            .collect(),
+    );
+    Figure::new("fig4", cells, move |stats| {
+        Table::new(feature_columns("programs"), 1, rows(stats))
+    })
+}
+
+/// Figure 5: the nine alternate-path fetch-limit policies under REC/RS/RU.
+fn fig5(budget: &Budget) -> Figure {
+    let (cells, rows) = ipc_rows(
+        AltPolicy::figure5_sweep()
+            .into_iter()
+            .map(|policy| {
+                let config = SimConfig::big_2_16()
+                    .with_features(Features::rec_rs_ru())
+                    .with_alt_policy(policy);
+                (
+                    vec![Value::Text(policy.label())],
+                    program_groups(&config, budget),
+                )
+            })
+            .collect(),
+    );
+    Figure::new("fig5", cells, move |stats| {
+        let mut columns = vec![Column::key("policy", 12)];
+        columns.extend(program_columns());
+        Table::new(columns, 1, rows(stats))
+    })
+}
+
+/// The four machine models of Section 5.3.
+pub fn figure6_machines() -> [(&'static str, SimConfig); 4] {
+    [
+        ("small.1.8", SimConfig::small_1_8()),
+        ("small.2.8", SimConfig::small_2_8()),
+        ("big.1.8", SimConfig::big_1_8()),
+        ("big.2.16", SimConfig::big_2_16()),
+    ]
+}
+
+/// Figure 6: SMT vs TME vs REC/RS/RU on each machine model.
+fn fig6(budget: &Budget) -> Figure {
+    let mut rows = Vec::new();
+    for (machine, base) in figure6_machines() {
+        for features in [Features::smt(), Features::tme(), Features::rec_rs_ru()] {
+            let labels = vec![
+                Value::Text(machine.to_owned()),
+                Value::Text(features.label().to_owned()),
+            ];
+            let config = base.clone().with_features(features);
+            rows.push((labels, program_groups(&config, budget)));
+        }
+    }
+    let (cells, rows) = ipc_rows(rows);
+    Figure::new("fig6", cells, move |stats| {
+        let mut columns = vec![Column::key("machine", 10), Column::key("config", 10)];
+        columns.extend(program_columns());
+        Table::new(columns, 2, rows(stats))
+    })
+}
+
+/// A Table 1 statistic of one run (or of several, combined).
+type Metric = fn(&Stats) -> f64;
+
+/// Table 1's value columns: text header, CSV header, width, statistic.
+const TABLE1: [(&str, &str, usize, Metric); 8] = [
+    ("recyc%", "recycled_pct", 8, Stats::pct_recycled),
+    ("reuse%", "reused_pct", 7, Stats::pct_reused),
+    ("misscov%", "misscov_pct", 9, Stats::pct_miss_covered),
+    ("tme%", "forks_tme_pct", 6, Stats::pct_forks_tme),
+    ("recyc%", "forks_recycled_pct", 6, Stats::pct_forks_recycled),
+    (
+        "respawn%",
+        "forks_respawned_pct",
+        8,
+        Stats::pct_forks_respawned,
+    ),
+    (
+        "merges/alt",
+        "merges_per_alt",
+        10,
+        Stats::merges_per_alt_path,
+    ),
+    ("back%", "back_merges_pct", 7, Stats::pct_back_merges),
+];
+
+/// Table 1: per-benchmark recycling statistics under REC/RS/RU, then
+/// instruction-weighted 1-, 2-, and 4-program averages.
+fn fig_table1(budget: &Budget) -> Figure {
+    let config = SimConfig::big_2_16().with_features(Features::rec_rs_ru());
+    let mut cells: Vec<Cell> = Benchmark::ALL
+        .into_iter()
+        .map(|bench| single_cell(bench, Features::rec_rs_ru(), budget))
+        .collect();
+    let mut averages = vec![("1 prog avg".to_owned(), 0..cells.len())];
+    for n in [2usize, 4] {
+        let start = cells.len();
+        cells.extend(mix_cells(&config, n, budget));
+        averages.push((format!("{n} progs avg"), start..cells.len()));
+    }
+    Figure::new("table1", cells, move |stats| {
+        let row = |label: &str, s: &Stats| {
+            let mut row = vec![Value::Text(label.to_owned())];
+            row.extend(TABLE1.iter().map(|c| Value::Float((c.3)(s))));
+            row
+        };
+        let mut rows: Vec<_> = Benchmark::ALL
+            .iter()
+            .zip(stats)
+            .map(|(bench, s)| row(bench.name(), s))
+            .collect();
+        for (label, span) in &averages {
+            rows.push(row(label, &combine(&stats[span.clone()])));
+        }
+        let mut columns = vec![Column::key("program", 12)];
+        columns.extend(TABLE1.iter().map(|c| Column::new(c.0, c.1, c.2, [1, 2])));
+        Table::new(columns, 1, rows)
+    })
+}
+
+// ---------------------------------------------------------------------
+// The sweep.
+// ---------------------------------------------------------------------
+
+/// The distinct cells of `figures` under `budget`, in first-seen order,
+/// and for each figure the index of each of its cells in that list. Two
+/// cells are one when their runs' canonical strings are equal.
+pub fn distinct_cells(figures: &[Figure], budget: &Budget) -> (Vec<Cell>, Vec<Vec<usize>>) {
+    let mut index = HashMap::new();
+    let mut distinct = Vec::new();
+    let slots = figures
+        .iter()
+        .map(|f| {
+            f.cells
+                .iter()
+                .map(|cell| {
+                    *index
+                        .entry(cell.spec(budget).canonical_string())
+                        .or_insert_with(|| {
+                            distinct.push(cell.clone());
+                            distinct.len() - 1
+                        })
+                })
+                .collect()
+        })
+        .collect();
+    (distinct, slots)
+}
+
+/// Runs the cells of `figures` in one parallel sweep — each distinct cell
+/// once, however many figures declare it — and returns each figure's
+/// table, in order. Nothing is kept past the call. Panics naming the cell
+/// if any cell misses its commit target.
+fn sweep(figures: &[Figure], budget: &Budget) -> Vec<Table> {
+    let (cells, slots) = distinct_cells(figures, budget);
+    let stats = parallel::run_cells(&cells, budget);
+    for (cell, s) in cells.iter().zip(&stats) {
+        check_target(cell, s, budget);
+    }
+    figures
+        .iter()
+        .zip(slots)
+        .map(|(f, slots)| {
+            let own: Vec<Stats> = slots.iter().map(|&i| stats[i].clone()).collect();
+            f.table(&own)
+        })
+        .collect()
+}
+
+/// The tables of the figures `names` (any of [`FIGURES`]), in order; the
+/// sweep figures share one sweep.
+pub fn tables(names: &[&str], budget: &Budget) -> Vec<Table> {
+    let figures: Vec<Figure> = names
+        .iter()
+        .filter(|&&n| n != "explain")
+        .map(|n| figure(n, budget).unwrap_or_else(|| panic!("unknown figure '{n}'")))
+        .collect();
+    let mut swept = sweep(&figures, budget).into_iter();
+    names
+        .iter()
+        .map(|&n| match n {
+            "explain" => explain(budget),
+            _ => swept.next().expect("one table per sweep figure"),
+        })
+        .collect()
+}
+
+/// Runs Figure 3 (single-program IPC for SMT/TME/REC/REC-RU/REC-RS/
+/// REC-RS-RU on the baseline machine).
+pub fn figure3(budget: &Budget) -> Table {
+    sweep(&[fig3(budget)], budget).remove(0)
+}
+
+/// Runs Figure 4 (average IPC for 1/2/4 programs under the six
+/// configurations).
+pub fn figure4(budget: &Budget) -> Table {
+    sweep(&[fig4(budget)], budget).remove(0)
+}
+
+/// Runs Figure 5 (nine alternate-path policies under REC/RS/RU).
+pub fn figure5(budget: &Budget) -> Table {
+    sweep(&[fig5(budget)], budget).remove(0)
+}
+
+/// Runs Figure 6 (SMT vs TME vs REC/RS/RU on each machine model).
+pub fn figure6(budget: &Budget) -> Table {
+    sweep(&[fig6(budget)], budget).remove(0)
+}
+
+/// Runs Table 1 (recycling statistics under REC/RS/RU).
+pub fn table1(budget: &Budget) -> Table {
+    sweep(&[fig_table1(budget)], budget).remove(0)
 }
 
 // ---------------------------------------------------------------------
 // Explain: reuse/recycle attribution alongside the figures.
 // ---------------------------------------------------------------------
-
-/// One explain row: why recycled instructions were (not) reused for one
-/// kernel under REC/RS/RU, plus the fork-refusal total — the harness-side
-/// companion to `multipath explain`.
-#[derive(Debug, Clone)]
-pub struct ExplainRow {
-    /// The benchmark.
-    pub bench: Benchmark,
-    /// Instructions renamed via the recycle datapath.
-    pub recycled: u64,
-    /// ... of which reused (no re-execution).
-    pub reused: u64,
-    /// Reuse denials by cause, in [`multipath_core::ReuseDeny::ALL`]
-    /// order; sums to `recycled - reused`.
-    pub denied: [u64; multipath_core::ReuseDeny::COUNT],
-    /// Fork refusals across all causes.
-    pub fork_refused: u64,
-}
-
-impl ExplainRow {
-    /// Reuse yield: % of recycled instructions whose results were reused.
-    pub fn yield_pct(&self) -> f64 {
-        if self.recycled == 0 {
-            0.0
-        } else {
-            100.0 * self.reused as f64 / self.recycled as f64
-        }
-    }
-}
-
-/// Runs the explain attribution for every kernel under REC/RS/RU. Serial
-/// by design: the sinks carry per-run state that the parallel engine's
-/// `Stats`-only aggregation cannot transport. With the quick budget this
-/// is the cost of one extra Table 1 column pass.
-pub fn explain_rows(budget: &Budget) -> Vec<ExplainRow> {
-    Benchmark::ALL
-        .into_iter()
-        .map(|bench| {
-            let spec = RunSpec {
-                probes: Some(ProbeConfig::explain()),
-                ..single_cell(bench, Features::rec_rs_ru(), budget).spec(budget)
-            };
-            let mut sim = spec.run();
-            let probes = sim.take_probes().expect("probes enabled");
-            let attr = probes.attribution.expect("attribution sink on");
-            let stats = sim.stats();
-            ExplainRow {
-                bench,
-                recycled: stats.recycled,
-                reused: stats.reused,
-                denied: attr.reuse_denied,
-                fork_refused: stats.fork_refused(),
-            }
-        })
-        .collect()
-}
-
-/// Renders the explain attribution as an aligned text table.
-pub fn render_explain(rows: &[ExplainRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:10} {:>9} {:>8} {:>7}",
-        "bench", "recycled", "reused", "yield%"
-    ));
-    for cause in multipath_core::ReuseDeny::ALL {
-        out.push_str(&format!(" {:>12}", short_cause(cause.name())));
-    }
-    out.push_str(&format!(" {:>8}\n", "refused"));
-    for r in rows {
-        out.push_str(&format!(
-            "{:10} {:>9} {:>8} {:>7.1}",
-            r.bench.name(),
-            r.recycled,
-            r.reused,
-            r.yield_pct()
-        ));
-        for v in r.denied {
-            out.push_str(&format!(" {v:>12}"));
-        }
-        out.push_str(&format!(" {:>8}\n", r.fork_refused));
-    }
-    out
-}
 
 /// Abbreviates a `ReuseDeny` name so the text table stays narrow.
 fn short_cause(name: &str) -> &str {
@@ -686,7 +707,6 @@ fn short_cause(name: &str) -> &str {
         "reuse_disabled" => "disabled",
         "not_executed" => "not_exec",
         "chained_reuse" => "chained",
-        "no_result" => "no_result",
         "regs_released" => "released",
         "source_overwritten" => "overwritten",
         "mem_invalidated" => "mem_inval",
@@ -694,211 +714,140 @@ fn short_cause(name: &str) -> &str {
     }
 }
 
-/// Explain attribution as CSV, cause columns in `ReuseDeny::ALL` order.
-pub fn render_explain_csv(rows: &[ExplainRow]) -> String {
-    let mut out = String::from("bench,recycled,reused,yield_pct");
-    for cause in multipath_core::ReuseDeny::ALL {
-        out.push(',');
-        out.push_str(cause.name());
-    }
-    out.push_str(",fork_refused\n");
-    for r in rows {
-        out.push_str(&format!(
-            "{},{},{},{:.2}",
-            r.bench.name(),
-            r.recycled,
-            r.reused,
-            r.yield_pct()
-        ));
-        for v in r.denied {
-            out.push_str(&format!(",{v}"));
-        }
-        out.push_str(&format!(",{}\n", r.fork_refused));
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
-// CSV rendering (for plotting): set MP_FORMAT=csv on any figure binary.
-// ---------------------------------------------------------------------
-
-/// Whether the binaries should emit CSV instead of aligned text.
-pub fn csv_requested() -> bool {
-    std::env::var("MP_FORMAT").is_ok_and(|v| v == "csv")
-}
-
-/// Runs the figure `name` (`fig3`, `fig4`, `fig5`, `fig6`, `table1`, or
-/// `explain`) and renders it as text, or as CSV when `csv` is set;
-/// `None` for any other name.
-pub fn render_named(name: &str, budget: &Budget, csv: bool) -> Option<String> {
-    macro_rules! figure {
-        ($run:ident, $text:ident, $csv:ident) => {{
-            let rows = $run(budget);
-            if csv {
-                $csv(&rows)
-            } else {
-                $text(&rows)
-            }
-        }};
-    }
-    Some(match name {
-        "fig3" => figure!(figure3, render_figure3, render_figure3_csv),
-        "fig4" => figure!(figure4, render_figure4, render_figure4_csv),
-        "fig5" => figure!(figure5, render_figure5, render_figure5_csv),
-        "fig6" => figure!(figure6, render_figure6, render_figure6_csv),
-        "table1" => figure!(table1, render_table1, render_table1_csv),
-        "explain" => figure!(explain_rows, render_explain, render_explain_csv),
-        _ => return None,
-    })
-}
-
-/// The whole of a figure binary: prints the figure `name` under the
-/// budget and format the environment selects.
-pub fn print_named(name: &str) {
-    let text = render_named(name, &Budget::from_env(), csv_requested());
-    print!("{}", text.expect("a figure name render_named knows"));
-}
-
-/// Figure 3 as CSV (`bench,smt,tme,rec,rec_ru,rec_rs,rec_rs_ru`).
-pub fn render_figure3_csv(rows: &[Fig3Row]) -> String {
-    let mut out = String::from("bench,smt,tme,rec,rec_ru,rec_rs,rec_rs_ru\n");
-    for r in rows {
-        out.push_str(&format!(
-            "{},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4}\n",
-            r.bench.name(),
-            r.ipc[0],
-            r.ipc[1],
-            r.ipc[2],
-            r.ipc[3],
-            r.ipc[4],
-            r.ipc[5]
+/// The explain attribution — the harness-side companion to `multipath
+/// explain`: for every kernel alone under REC/RS/RU, the recycled and
+/// reused counts, the reuse yield, the reuse denials by cause (in
+/// [`ReuseDeny::ALL`] order; they sum to `recycled - reused`), and the
+/// fork refusals. Each run carries the explain probes, so these runs are
+/// not shared with the sweep.
+pub fn explain(budget: &Budget) -> Table {
+    let cells: Vec<Cell> = Benchmark::ALL
+        .into_iter()
+        .map(|bench| single_cell(bench, Features::rec_rs_ru(), budget))
+        .collect();
+    let rows = parallel::map(&cells, |cell| {
+        let spec = RunSpec {
+            probes: Some(ProbeConfig::explain()),
+            ..cell.spec(budget)
+        };
+        let mut sim = spec.run();
+        let probes = sim.take_probes().expect("probes enabled");
+        let denied = probes
+            .attribution
+            .expect("attribution sink on")
+            .reuse_denied;
+        let s = sim.stats();
+        check_target(cell, s, budget);
+        let yield_pct = if s.recycled == 0 {
+            0.0
+        } else {
+            100.0 * s.reused as f64 / s.recycled as f64
+        };
+        let mut row = vec![
+            Value::Text(cell.workload[0].name().to_owned()),
+            Value::Int(s.recycled),
+            Value::Int(s.reused),
+            Value::Float(yield_pct),
+        ];
+        row.extend(denied.map(Value::Int));
+        row.push(Value::Int(s.fork_refused()));
+        row
+    });
+    let mut columns = vec![
+        Column::key("bench", 10),
+        Column::new("recycled", "recycled", 9, [0, 0]),
+        Column::new("reused", "reused", 8, [0, 0]),
+        Column::new("yield%", "yield_pct", 7, [1, 2]),
+    ];
+    for cause in ReuseDeny::ALL {
+        columns.push(Column::new(
+            short_cause(cause.name()),
+            cause.name(),
+            12,
+            [0, 0],
         ));
     }
-    out
-}
-
-/// Figure 4 as CSV (`programs,smt,...`).
-pub fn render_figure4_csv(rows: &[Fig4Row]) -> String {
-    let mut out = String::from("programs,smt,tme,rec,rec_ru,rec_rs,rec_rs_ru\n");
-    for r in rows {
-        out.push_str(&format!(
-            "{},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4}\n",
-            r.programs, r.ipc[0], r.ipc[1], r.ipc[2], r.ipc[3], r.ipc[4], r.ipc[5]
-        ));
-    }
-    out
-}
-
-/// Figure 5 as CSV (`policy,p1,p2,p4`).
-pub fn render_figure5_csv(rows: &[Fig5Row]) -> String {
-    let mut out = String::from("policy,p1,p2,p4\n");
-    for r in rows {
-        out.push_str(&format!(
-            "{},{:.4},{:.4},{:.4}\n",
-            r.policy.label(),
-            r.ipc[0],
-            r.ipc[1],
-            r.ipc[2]
-        ));
-    }
-    out
-}
-
-/// Figure 6 as CSV (`machine,config,p1,p2,p4`).
-pub fn render_figure6_csv(rows: &[Fig6Row]) -> String {
-    let mut out = String::from("machine,config,p1,p2,p4\n");
-    for r in rows {
-        out.push_str(&format!(
-            "{},{},{:.4},{:.4},{:.4}\n",
-            r.machine,
-            r.features.label(),
-            r.ipc[0],
-            r.ipc[1],
-            r.ipc[2]
-        ));
-    }
-    out
-}
-
-/// Table 1 as CSV.
-pub fn render_table1_csv(rows: &[Table1Row]) -> String {
-    let mut out = String::from(
-        "program,recycled_pct,reused_pct,misscov_pct,forks_tme_pct,forks_recycled_pct,forks_respawned_pct,merges_per_alt,back_merges_pct\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2}\n",
-            r.label,
-            r.pct_recycled,
-            r.pct_reused,
-            r.pct_miss_cov,
-            r.pct_forks_tme,
-            r.pct_forks_recycled,
-            r.pct_forks_respawned,
-            r.merges_per_alt,
-            r.pct_back_merges
-        ));
-    }
-    out
+    columns.push(Column::new("refused", "fork_refused", 8, [0, 0]));
+    Table::new(columns, 1, rows)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn tiny_budget() -> Budget {
+        Budget {
+            committed_per_program: 2_000,
+            ..Budget::quick()
+        }
+    }
+
+    fn float(v: &Value) -> f64 {
+        match v {
+            Value::Float(x) => *x,
+            Value::Int(n) => *n as f64,
+            Value::Text(s) => panic!("not a number: {s}"),
+        }
+    }
+
     #[test]
     fn quick_figure3_has_sane_shape() {
-        let mut budget = Budget::quick();
-        budget.committed_per_program = 2_000;
-        let rows = figure3(&budget);
-        assert_eq!(rows.len(), 8);
-        for row in &rows {
-            for v in row.ipc {
-                assert!(v > 0.05, "{}: degenerate IPC {v}", row.bench);
+        let table = figure3(&tiny_budget());
+        assert_eq!(table.rows.len(), 8);
+        for row in &table.rows {
+            for v in &row[1..] {
+                assert!(float(v) > 0.05, "{:?}: degenerate IPC {v:?}", row[0]);
             }
         }
-        let text = render_figure3(&rows);
+        let text = render_figure3(&table);
         assert!(text.contains("compress"));
         assert!(text.contains("average"));
     }
 
     #[test]
     fn quick_explain_rows_reconcile() {
-        let mut budget = Budget::quick();
-        budget.committed_per_program = 2_000;
-        let rows = explain_rows(&budget);
-        assert_eq!(rows.len(), 8);
-        for r in &rows {
-            let denied: u64 = r.denied.iter().sum();
+        let table = explain(&tiny_budget());
+        assert_eq!(table.rows.len(), 8);
+        for row in &table.rows {
+            let (recycled, reused) = (float(&row[1]), float(&row[2]));
+            let denied: f64 = row[4..4 + ReuseDeny::COUNT].iter().map(float).sum();
             assert_eq!(
                 denied,
-                r.recycled - r.reused,
-                "{}: denial taxonomy must cover every non-reused recycle",
-                r.bench
+                recycled - reused,
+                "{:?}: denial taxonomy must cover every non-reused recycle",
+                row[0]
             );
         }
-        let text = render_explain(&rows);
+        let text = render_text(&table);
         assert!(text.contains("compress"));
         assert!(text.contains("yield%"));
-        let csv = render_explain_csv(&rows);
+        let csv = render_csv(&table);
         assert!(csv.starts_with("bench,recycled,reused,yield_pct,reuse_disabled"));
     }
 
     #[test]
     fn quick_table1_reports_recycling() {
-        let mut budget = Budget::quick();
-        budget.committed_per_program = 2_000;
-        let rows = table1(&budget);
-        assert_eq!(rows.len(), 8 + 3);
-        let avg = rows
+        let table = table1(&tiny_budget());
+        assert_eq!(table.rows.len(), 8 + 3);
+        let avg = table
+            .rows
             .iter()
-            .find(|r| r.label == "1 prog avg")
+            .find(|r| r[0] == Value::Text("1 prog avg".to_owned()))
             .expect("average row");
-        assert!(
-            avg.pct_recycled > 1.0,
-            "recycling should be visible: {avg:?}"
-        );
-        let text = render_table1(&rows);
+        assert!(float(&avg[1]) > 1.0, "recycling should be visible: {avg:?}");
+        let text = render_table1(&table);
         assert!(text.contains("4 progs avg"));
+    }
+
+    #[test]
+    #[should_panic(expected = "cell missed its commit target")]
+    fn a_cell_that_misses_its_target_fails_loudly() {
+        let budget = Budget {
+            committed_per_program: 1_000,
+            max_cycles: 50,
+            seed: 1,
+            mixes: 1,
+        };
+        sweep(&[fig4(&budget)], &budget);
     }
 }

@@ -1,10 +1,10 @@
 //! The parallel sweep engine: shards experiment cells across scoped
 //! worker threads with byte-identical output to a serial run.
 //!
-//! Every figure runner in this crate builds its full cell list up front,
-//! maps it through [`run_cells`], and aggregates the results *in list
-//! order*. Workers pull cell indices from a shared atomic counter, so any
-//! thread may simulate any cell, but each cell is deterministic given its
+//! The figure sweep behind [`crate::tables`] builds its full cell list up
+//! front, maps it through [`run_cells`], and aggregates the results *in
+//! list order*. Workers pull cell indices from a shared atomic counter, so
+//! any thread may simulate any cell, but each cell is deterministic given its
 //! own seed and results land back at their original index — aggregation
 //! order (and thus floating-point summation order, and thus the rendered
 //! tables) never depends on the thread count.

@@ -3,7 +3,7 @@
 //! rendered table, must be bit-identical whether cells run on one worker
 //! or many.
 
-use multipath_bench::{parallel, render_figure3, run_cell, Budget, Cell, Fig3Row};
+use multipath_bench::{figure, parallel, render_text, run_cell, Budget, Cell};
 use multipath_core::{Features, SimConfig};
 use multipath_workload::{mix, Benchmark};
 
@@ -54,35 +54,14 @@ fn run_cell_results_are_identical_across_thread_counts() {
 #[test]
 fn rendered_tables_are_byte_identical_across_thread_counts() {
     let budget = tiny_budget();
-    let benches = [Benchmark::Compress, Benchmark::Li];
-    let cells: Vec<Cell> = benches
-        .iter()
-        .flat_map(|&bench| {
-            Features::all_six().into_iter().map(move |features| Cell {
-                config: SimConfig::big_2_16().with_features(features),
-                workload: vec![bench],
-                seed: budget.seed,
-            })
-        })
-        .collect();
-    let render = |stats: &[multipath_core::Stats]| {
-        let rows: Vec<Fig3Row> = benches
-            .iter()
-            .enumerate()
-            .map(|(bi, &bench)| {
-                let mut ipc = [0.0; 6];
-                for (fi, v) in ipc.iter_mut().enumerate() {
-                    *v = stats[bi * 6 + fi].ipc();
-                }
-                Fig3Row { bench, ipc }
-            })
-            .collect();
-        render_figure3(&rows)
+    let fig3 = figure("fig3", &budget).expect("fig3 is a sweep figure");
+    let render = |threads: usize| {
+        let stats = parallel::map_with(threads, &fig3.cells, |c| run_cell(c, &budget));
+        render_text(&fig3.table(&stats))
     };
-    let serial = render(&parallel::map_with(1, &cells, |c| run_cell(c, &budget)));
-    let sharded = render(&parallel::map_with(6, &cells, |c| run_cell(c, &budget)));
     assert_eq!(
-        serial, sharded,
+        render(1),
+        render(6),
         "rendered Figure 3 must not depend on thread count"
     );
 }

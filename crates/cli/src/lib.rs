@@ -13,12 +13,10 @@
 //! [`AltPolicy::from_label`]) so the CLI, the serving API, and the docs
 //! all share one vocabulary.
 
+use multipath_bench::FIGURES;
 use multipath_core::{AltPolicy, EventFilter, Features, SimConfig};
 use multipath_serve::ServeConfig;
 use multipath_workload::Benchmark;
-
-/// The figure names `multipath figures` accepts, in render order.
-pub const FIGURES: [&str; 6] = ["fig3", "fig4", "fig5", "fig6", "table1", "explain"];
 
 /// The usage text printed on any parse error.
 pub const USAGE: &str = "usage:\n  multipath run [OPTIONS] <BENCH>...\n  \

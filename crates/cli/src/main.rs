@@ -44,9 +44,9 @@
 //! Output paths get their parent directories created on demand.
 //!
 //! `figures` takes any of fig3 fig4 fig5 fig6 table1 explain (default:
-//! all), and
+//! all), runs each distinct cell of the named figures once, and
 //! honours MULTIPATH_THREADS (worker count), MULTIPATH_BUDGET=quick
-//! (smoke-sized sweep), and MP_FORMAT=csv.
+//! (smoke-sized sweep), MP_BENCH_COMMITS / MP_BENCH_MIXES, and MP_FORMAT=csv.
 //! ```
 
 use multipath_cli::{
@@ -270,22 +270,26 @@ fn cmd_list() -> ExitCode {
 
 fn cmd_figures(requested: &[&str]) -> ExitCode {
     let budget = multipath_bench::Budget::from_env();
-    let csv = multipath_bench::csv_requested();
     eprintln!(
         "sweeping on {} worker thread(s); {} committed per program, {} mixes",
         multipath_bench::parallel::thread_count(),
         budget.committed_per_program,
         budget.mixes
     );
-    for (i, fig) in requested.iter().enumerate() {
+    let render = if std::env::var("MP_FORMAT").is_ok_and(|v| v == "csv") {
+        multipath_bench::render_csv
+    } else {
+        multipath_bench::render_text
+    };
+    let tables = multipath_bench::tables(requested, &budget);
+    for (i, (fig, table)) in requested.iter().zip(&tables).enumerate() {
         if i > 0 {
             println!();
         }
         if requested.len() > 1 {
             println!("== {fig} ==");
         }
-        let text = multipath_bench::render_named(fig, &budget, csv);
-        print!("{}", text.expect("validated by the parser"));
+        print!("{}", render(table));
     }
     ExitCode::SUCCESS
 }

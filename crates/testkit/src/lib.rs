@@ -9,8 +9,6 @@
 //!   (replacing `rand`),
 //! - [`prop_test!`]: a property-test macro running N random cases with
 //!   shrink-by-halving on failure (replacing `proptest`),
-//! - [`BenchRunner`]: a wall-clock micro-bench runner (replacing
-//!   `criterion`),
 //! - [`Json`]: a minimal JSON parser for round-tripping the workspace's
 //!   hand-rendered reports and traces (replacing `serde_json`),
 //! - [`http`]: a minimal blocking HTTP/1.1 client for loopback tests of
@@ -28,14 +26,12 @@
 
 #![deny(missing_docs)]
 
-pub mod bench;
 pub mod http;
 pub mod json;
 pub mod prop;
 pub mod rng;
 pub mod shrink;
 
-pub use bench::BenchRunner;
 pub use http::HttpResponse;
 pub use json::Json;
 pub use rng::{mix64, SplitMix64, TestRng};
