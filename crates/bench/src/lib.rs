@@ -611,12 +611,19 @@ fn fig_table1(budget: &Budget) -> Figure {
 /// and for each figure the index of each of its cells in that list. Two
 /// cells are one when their runs' canonical strings are equal.
 pub fn distinct_cells(figures: &[Figure], budget: &Budget) -> (Vec<Cell>, Vec<Vec<usize>>) {
+    dedup(figures.iter().map(|f| f.cells.as_slice()), budget)
+}
+
+/// [`distinct_cells`] over any cell lists.
+fn dedup<'a>(
+    lists: impl Iterator<Item = &'a [Cell]>,
+    budget: &Budget,
+) -> (Vec<Cell>, Vec<Vec<usize>>) {
     let mut index = HashMap::new();
     let mut distinct = Vec::new();
-    let slots = figures
-        .iter()
-        .map(|f| {
-            f.cells
+    let slots = lists
+        .map(|cells| {
+            cells
                 .iter()
                 .map(|cell| {
                     *index
@@ -632,39 +639,81 @@ pub fn distinct_cells(figures: &[Figure], budget: &Budget) -> (Vec<Cell>, Vec<Ve
     (distinct, slots)
 }
 
-/// Runs the cells of `figures` in one parallel sweep — each distinct cell
-/// once, however many figures declare it — and returns each figure's
-/// table, in order. Nothing is kept past the call. Panics naming the cell
-/// if any cell misses its commit target.
-fn sweep(figures: &[Figure], budget: &Budget) -> Vec<Table> {
-    let (cells, slots) = distinct_cells(figures, budget);
-    let stats = parallel::run_cells(&cells, budget);
-    for (cell, s) in cells.iter().zip(&stats) {
-        check_target(cell, s, budget);
+/// One run of the sweep: its statistics and, if it carried the explain
+/// probes, its reuse denials by cause.
+#[derive(Clone)]
+struct Run {
+    stats: Stats,
+    denied: Option<[u64; ReuseDeny::COUNT]>,
+}
+
+/// Runs `cell`, with the explain probes if `probed`. Probes observe a
+/// run without changing its statistics.
+fn run(cell: &Cell, probed: bool, budget: &Budget) -> Run {
+    let spec = RunSpec {
+        probes: probed.then(ProbeConfig::explain),
+        ..cell.spec(budget)
+    };
+    let mut sim = spec.run();
+    let denied = sim
+        .take_probes()
+        .map(|p| p.attribution.expect("attribution sink on").reuse_denied);
+    Run {
+        stats: sim.stats().clone(),
+        denied,
     }
-    figures
+}
+
+/// Runs the cells of `figures` and the `probed` cells in one parallel
+/// sweep — each distinct cell once, however many lists declare it, with
+/// the explain probes if `probed` holds it — and returns each figure's
+/// table, in order, and the runs of `probed`, in order. Nothing is kept
+/// past the call. Panics naming the cell if any cell misses its commit
+/// target.
+fn sweep(figures: &[Figure], probed: &[Cell], budget: &Budget) -> (Vec<Table>, Vec<Run>) {
+    let lists = figures.iter().map(|f| f.cells.as_slice()).chain([probed]);
+    let (cells, mut slots) = dedup(lists, budget);
+    let probed_slots = slots.pop().expect("slots of the probed cells");
+    let mut jobs: Vec<(&Cell, bool)> = cells.iter().map(|c| (c, false)).collect();
+    for &i in &probed_slots {
+        jobs[i].1 = true;
+    }
+    let runs = parallel::map(&jobs, |&(cell, probed)| run(cell, probed, budget));
+    for (cell, r) in cells.iter().zip(&runs) {
+        check_target(cell, &r.stats, budget);
+    }
+    let tables = figures
         .iter()
         .zip(slots)
         .map(|(f, slots)| {
-            let own: Vec<Stats> = slots.iter().map(|&i| stats[i].clone()).collect();
+            let own: Vec<Stats> = slots.iter().map(|&i| runs[i].stats.clone()).collect();
             f.table(&own)
         })
-        .collect()
+        .collect();
+    let probed_runs = probed_slots.iter().map(|&i| runs[i].clone()).collect();
+    (tables, probed_runs)
 }
 
-/// The tables of the figures `names` (any of [`FIGURES`]), in order; the
-/// sweep figures share one sweep.
+/// The tables of the figures `names` (any of [`FIGURES`]), in order, from
+/// one sweep: `explain`'s probed runs also serve the figures that share
+/// its cells.
 pub fn tables(names: &[&str], budget: &Budget) -> Vec<Table> {
     let figures: Vec<Figure> = names
         .iter()
         .filter(|&&n| n != "explain")
         .map(|n| figure(n, budget).unwrap_or_else(|| panic!("unknown figure '{n}'")))
         .collect();
-    let mut swept = sweep(&figures, budget).into_iter();
+    let probed = if names.contains(&"explain") {
+        explain_cells(budget)
+    } else {
+        Vec::new()
+    };
+    let (swept, runs) = sweep(&figures, &probed, budget);
+    let mut swept = swept.into_iter();
     names
         .iter()
         .map(|&n| match n {
-            "explain" => explain(budget),
+            "explain" => explain_table(&probed, &runs),
             _ => swept.next().expect("one table per sweep figure"),
         })
         .collect()
@@ -673,28 +722,28 @@ pub fn tables(names: &[&str], budget: &Budget) -> Vec<Table> {
 /// Runs Figure 3 (single-program IPC for SMT/TME/REC/REC-RU/REC-RS/
 /// REC-RS-RU on the baseline machine).
 pub fn figure3(budget: &Budget) -> Table {
-    sweep(&[fig3(budget)], budget).remove(0)
+    sweep(&[fig3(budget)], &[], budget).0.remove(0)
 }
 
 /// Runs Figure 4 (average IPC for 1/2/4 programs under the six
 /// configurations).
 pub fn figure4(budget: &Budget) -> Table {
-    sweep(&[fig4(budget)], budget).remove(0)
+    sweep(&[fig4(budget)], &[], budget).0.remove(0)
 }
 
 /// Runs Figure 5 (nine alternate-path policies under REC/RS/RU).
 pub fn figure5(budget: &Budget) -> Table {
-    sweep(&[fig5(budget)], budget).remove(0)
+    sweep(&[fig5(budget)], &[], budget).0.remove(0)
 }
 
 /// Runs Figure 6 (SMT vs TME vs REC/RS/RU on each machine model).
 pub fn figure6(budget: &Budget) -> Table {
-    sweep(&[fig6(budget)], budget).remove(0)
+    sweep(&[fig6(budget)], &[], budget).0.remove(0)
 }
 
 /// Runs Table 1 (recycling statistics under REC/RS/RU).
 pub fn table1(budget: &Budget) -> Table {
-    sweep(&[fig_table1(budget)], budget).remove(0)
+    sweep(&[fig_table1(budget)], &[], budget).0.remove(0)
 }
 
 // ---------------------------------------------------------------------
@@ -718,41 +767,43 @@ fn short_cause(name: &str) -> &str {
 /// explain`: for every kernel alone under REC/RS/RU, the recycled and
 /// reused counts, the reuse yield, the reuse denials by cause (in
 /// [`ReuseDeny::ALL`] order; they sum to `recycled - reused`), and the
-/// fork refusals. Each run carries the explain probes, so these runs are
-/// not shared with the sweep.
+/// fork refusals. Each run carries the explain probes.
 pub fn explain(budget: &Budget) -> Table {
-    let cells: Vec<Cell> = Benchmark::ALL
+    let cells = explain_cells(budget);
+    explain_table(&cells, &sweep(&[], &cells, budget).1)
+}
+
+/// The cells `explain` reports on: every kernel alone under REC/RS/RU.
+fn explain_cells(budget: &Budget) -> Vec<Cell> {
+    Benchmark::ALL
         .into_iter()
         .map(|bench| single_cell(bench, Features::rec_rs_ru(), budget))
+        .collect()
+}
+
+/// The explain table of `cells` from their probed `runs`.
+fn explain_table(cells: &[Cell], runs: &[Run]) -> Table {
+    let rows = cells
+        .iter()
+        .zip(runs)
+        .map(|(cell, run)| {
+            let s = &run.stats;
+            let yield_pct = if s.recycled == 0 {
+                0.0
+            } else {
+                100.0 * s.reused as f64 / s.recycled as f64
+            };
+            let mut row = vec![
+                Value::Text(cell.workload[0].name().to_owned()),
+                Value::Int(s.recycled),
+                Value::Int(s.reused),
+                Value::Float(yield_pct),
+            ];
+            row.extend(run.denied.expect("explain runs are probed").map(Value::Int));
+            row.push(Value::Int(s.fork_refused()));
+            row
+        })
         .collect();
-    let rows = parallel::map(&cells, |cell| {
-        let spec = RunSpec {
-            probes: Some(ProbeConfig::explain()),
-            ..cell.spec(budget)
-        };
-        let mut sim = spec.run();
-        let probes = sim.take_probes().expect("probes enabled");
-        let denied = probes
-            .attribution
-            .expect("attribution sink on")
-            .reuse_denied;
-        let s = sim.stats();
-        check_target(cell, s, budget);
-        let yield_pct = if s.recycled == 0 {
-            0.0
-        } else {
-            100.0 * s.reused as f64 / s.recycled as f64
-        };
-        let mut row = vec![
-            Value::Text(cell.workload[0].name().to_owned()),
-            Value::Int(s.recycled),
-            Value::Int(s.reused),
-            Value::Float(yield_pct),
-        ];
-        row.extend(denied.map(Value::Int));
-        row.push(Value::Int(s.fork_refused()));
-        row
-    });
     let mut columns = vec![
         Column::key("bench", 10),
         Column::new("recycled", "recycled", 9, [0, 0]),
@@ -848,6 +899,6 @@ mod tests {
             seed: 1,
             mixes: 1,
         };
-        sweep(&[fig4(&budget)], &budget);
+        sweep(&[fig4(&budget)], &[], &budget);
     }
 }

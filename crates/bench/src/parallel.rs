@@ -2,8 +2,8 @@
 //! worker threads with byte-identical output to a serial run.
 //!
 //! The figure sweep behind [`crate::tables`] builds its full cell list up
-//! front, maps it through [`run_cells`], and aggregates the results *in
-//! list order*. Workers pull cell indices from a shared atomic counter, so
+//! front, runs it through [`map`], and aggregates the results *in list
+//! order*. Workers pull cell indices from a shared atomic counter, so
 //! any thread may simulate any cell, but each cell is deterministic given its
 //! own seed and results land back at their original index — aggregation
 //! order (and thus floating-point summation order, and thus the rendered
@@ -13,8 +13,6 @@
 //! back to the machine's available parallelism. `MULTIPATH_THREADS=1` is
 //! the serial mode the CI determinism gate compares against.
 
-use crate::{run_cell, Budget, Cell};
-use multipath_core::Stats;
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -79,12 +77,6 @@ where
                 .expect("worker filled every slot")
         })
         .collect()
-}
-
-/// Runs every cell of a sweep in parallel; `out[i]` is the statistics of
-/// `cells[i]`, exactly as a serial loop would produce them.
-pub fn run_cells(cells: &[Cell], budget: &Budget) -> Vec<Stats> {
-    map(cells, |cell| run_cell(cell, budget))
 }
 
 /// A queued unit of work for a [`WorkerPool`].

@@ -252,18 +252,20 @@ impl Context {
         }
     }
 
-    /// Records a debug front-end event (no-op in release builds).
+    /// Records a debug front-end event. `msg` runs only in debug builds:
+    /// release builds format nothing.
     #[cfg(debug_assertions)]
-    pub fn log_fe(&mut self, cycle: u64, msg: String) {
+    pub fn log_fe(&mut self, cycle: u64, msg: impl FnOnce() -> String) {
         if self.fe_log.len() >= 48 {
             self.fe_log.pop_front();
         }
-        self.fe_log.push_back(format!("cycle {cycle}: {msg}"));
+        self.fe_log.push_back(format!("cycle {cycle}: {}", msg()));
     }
 
-    /// Records a debug front-end event (no-op in release builds).
+    /// Records a debug front-end event. `msg` runs only in debug builds:
+    /// release builds format nothing.
     #[cfg(not(debug_assertions))]
-    pub fn log_fe(&mut self, _cycle: u64, _msg: String) {}
+    pub fn log_fe(&mut self, _cycle: u64, _msg: impl FnOnce() -> String) {}
 
     /// The PC of the first instruction of this context's trace (the
     /// primary merge / respawn match point for alternates and inactives).

@@ -131,7 +131,7 @@ impl Simulator {
         if fetched > 0 {
             let cyc = self.cycle;
             self.contexts[ctx.index()]
-                .log_fe(cyc, format!("fetch {fetched} [{pc0:#x}..) next {pc:#x}"));
+                .log_fe(cyc, || format!("fetch {fetched} [{pc0:#x}..) next {pc:#x}"));
         }
         if fetched > 0 {
             self.probe(
@@ -403,10 +403,12 @@ impl Simulator {
         {
             let cyc = self.cycle;
             let pre = self.contexts[target.index()].decode_pipe.len();
-            self.contexts[target.index()].log_fe(
-                cyc,
-                format!("stream src ctx{} [{start_seq}..{end}) pc {pc:#x} resume {resume_pc:#x} pre {pre}", source.0),
-            );
+            self.contexts[target.index()].log_fe(cyc, || {
+                format!(
+                    "stream src ctx{} [{start_seq}..{end}) pc {pc:#x} resume {resume_pc:#x} pre {pre}",
+                    source.0
+                )
+            });
         }
         self.contexts[target.index()].fetch_pc = resume_pc;
 

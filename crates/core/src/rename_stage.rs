@@ -9,9 +9,10 @@
 use crate::active_list::{AlEntry, BranchState, EntryState, MemState};
 use crate::context::{CtxState, FetchPrediction, StreamSource};
 use crate::ids::CtxId;
-use crate::sim::{IqEntry, Simulator};
+use crate::iq::queue_for;
+use crate::sim::Simulator;
 use multipath_branch::GlobalHistory;
-use multipath_isa::{FuClass, Inst, Opcode, OperandClass, INST_BYTES};
+use multipath_isa::{Inst, Opcode, OperandClass, INST_BYTES};
 
 /// Why rename had to stop for this thread this cycle.
 enum Stall {
@@ -96,7 +97,7 @@ impl Simulator {
         {
             let cyc = self.cycle;
             let fpc = self.contexts[ctx.index()].fetch_pc;
-            self.contexts[ctx.index()].log_fe(cyc, format!("cap-hit -> {fpc:#x}"));
+            self.contexts[ctx.index()].log_fe(cyc, || format!("cap-hit -> {fpc:#x}"));
         }
         true
     }
@@ -367,13 +368,7 @@ impl Simulator {
                 return false;
             }
         }
-        let fu = inst.op.fu_class();
-        let is_fp_queue = matches!(fu, FuClass::FpAdd | FuClass::FpMul | FuClass::FpDiv);
-        if is_fp_queue {
-            self.iq_fp.len() < self.config.fp_queue
-        } else {
-            self.iq_int.len() < self.config.int_queue
-        }
+        !self.iq.is_full(queue_for(inst.op.fu_class()))
     }
 
     /// Abandons `ctx`'s recycle stream and redirects fetch to `pc`.
@@ -394,7 +389,7 @@ impl Simulator {
         // A halt fetched on the discarded path must not keep the thread
         // muted on the new one.
         c.fetch_stopped = false;
-        c.log_fe(cycle, format!("cancel -> {pc:#x}"));
+        c.log_fe(cycle, || format!("cancel -> {pc:#x}"));
         c.fetch_stall_until = cycle + 1;
     }
 
@@ -488,13 +483,13 @@ impl Simulator {
             let pc = entry.pc;
             let val = self.regs.read(preg);
             let sseq = entry.seq;
-            self.contexts[ctx.index()].log_fe(
-                cyc,
+            let inst = entry.inst;
+            self.contexts[ctx.index()].log_fe(cyc, || {
                 format!(
-                    "reuse {} pc={pc:#x} src ctx{} seq{} val={val}",
-                    entry.inst, _source.0, sseq
-                ),
-            );
+                    "reuse {inst} pc={pc:#x} src ctx{} seq{sseq} val={val}",
+                    _source.0
+                )
+            });
         }
         debug_assert_eq!(entry.pc, self.contexts[ctx.index()].al_next_pc);
         self.contexts[ctx.index()].al.insert(new);
@@ -542,7 +537,7 @@ impl Simulator {
         }
         let op = inst.op;
         let fu = op.fu_class();
-        let is_fp_queue = matches!(fu, FuClass::FpAdd | FuClass::FpMul | FuClass::FpDiv);
+        let queue = queue_for(fu);
         // Instructions that never enter the queue: nop/halt (no work),
         // br (resolved at fetch), jsr (link value computed at rename).
         let skips_queue = matches!(op, Opcode::Nop | Opcode::Halt | Opcode::Br | Opcode::Jsr);
@@ -551,15 +546,8 @@ impl Simulator {
             CtxState::Alternate { resolved: true, .. }
         ) && !self.config.alt_policy.execute_after_resolve();
         let needs_queue = !skips_queue && !fetched_only;
-        if needs_queue {
-            let (q, cap) = if is_fp_queue {
-                (&self.iq_fp, self.config.fp_queue)
-            } else {
-                (&self.iq_int, self.config.int_queue)
-            };
-            if q.len() >= cap {
-                return Err(Stall::Resources);
-            }
+        if needs_queue && self.iq.is_full(queue) {
+            return Err(Stall::Resources);
         }
         // Allocate the destination register before taking reader refs so a
         // failed allocation has nothing to unwind.
@@ -682,7 +670,7 @@ impl Simulator {
         // The link register value is known at rename.
         if op == Opcode::Jsr && !fetched_only {
             if let Some(p) = new_preg {
-                self.regs.write(p, fallthrough);
+                self.write_reg(p, fallthrough);
             }
         }
         if op.is_store() && !fetched_only {
@@ -698,10 +686,9 @@ impl Simulator {
         #[cfg(debug_assertions)]
         {
             let cyc = self.cycle;
-            self.contexts[ctx.index()].log_fe(
-                cyc,
-                format!("rename {inst} pc={pc:#x} next={next_pc:#x} seq={seq} rec={recycled}"),
-            );
+            self.contexts[ctx.index()].log_fe(cyc, || {
+                format!("rename {inst} pc={pc:#x} next={next_pc:#x} seq={seq} rec={recycled}")
+            });
         }
 
         // Backward-branch merge point (Section 3.2): a taken backward
@@ -720,18 +707,9 @@ impl Simulator {
 
         // Dispatch.
         if needs_queue {
-            let iq = IqEntry {
-                ctx,
-                seq,
-                tag,
-                srcs,
-                fu,
-            };
-            if is_fp_queue {
-                self.iq_fp.push_back(iq);
-            } else {
-                self.iq_int.push_back(iq);
-            }
+            let regs = &self.regs;
+            self.iq
+                .dispatch(ctx, seq, tag, srcs, fu, |p| regs.is_ready(p));
         }
 
         self.stats.renamed += 1;

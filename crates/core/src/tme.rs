@@ -18,6 +18,11 @@ impl Simulator {
     pub(crate) fn squash_ctx_from(&mut self, ctx: CtxId, from_seq: u64) -> usize {
         let seqs = self.contexts[ctx.index()].al.squash_from(from_seq);
         let count = seqs.end.saturating_sub(seqs.start) as usize;
+        if count > 0 && self.iq.held_by(ctx) > 0 {
+            // Squashed entries keep their queue slots until the next
+            // issue stage purges them.
+            self.iq.mark_stale(ctx);
+        }
         if count > 0 && self.probing() {
             let pc = self.contexts[ctx.index()]
                 .al
@@ -270,7 +275,7 @@ impl Simulator {
             ..Default::default()
         };
         c.last_used = cycle;
-        c.log_fe(cycle, format!("fork-into start {alt_pc:#x}"));
+        c.log_fe(cycle, || format!("fork-into start {alt_pc:#x}"));
         self.stats.forks += 1;
     }
 
@@ -385,10 +390,9 @@ impl Simulator {
         c.fetch_pc = resume_pc;
         c.al_next_pc = start_pc;
         let cyc = self.cycle;
-        self.contexts[alt.index()].log_fe(
-            cyc,
-            format!("respawn start {start_pc:#x} resume {resume_pc:#x}"),
-        );
+        self.contexts[alt.index()].log_fe(cyc, || {
+            format!("respawn start {start_pc:#x} resume {resume_pc:#x}")
+        });
         self.stats.forks += 1;
         self.stats.respawns += 1;
     }
@@ -439,7 +443,7 @@ impl Simulator {
             }
         }
         let cyc = self.cycle;
-        self.contexts[alt.index()].log_fe(cyc, "promoted".to_owned());
+        self.contexts[alt.index()].log_fe(cyc, || "promoted".to_owned());
         let a = &mut self.contexts[alt.index()];
         a.state = CtxState::Primary;
         a.commit_gate = Some(old_primary);

@@ -49,17 +49,35 @@ impl Memory {
         self.page_mut(addr)[(addr & OFFSET_MASK) as usize] = value;
     }
 
-    /// Reads `buf.len()` bytes starting at `addr`.
+    /// Reads `buf.len()` bytes starting at `addr`, wrapping past the top
+    /// of the address space; one page lookup per page touched.
     pub fn read_bytes(&self, addr: u64, buf: &mut [u8]) {
-        for (i, b) in buf.iter_mut().enumerate() {
-            *b = self.read_u8(addr.wrapping_add(i as u64));
+        let mut addr = addr;
+        let mut rest = buf;
+        while !rest.is_empty() {
+            let off = (addr & OFFSET_MASK) as usize;
+            let n = rest.len().min(PAGE_SIZE - off);
+            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(n);
+            match self.page(addr) {
+                Some(p) => chunk.copy_from_slice(&p[off..off + n]),
+                None => chunk.fill(0),
+            }
+            rest = tail;
+            addr = addr.wrapping_add(n as u64);
         }
     }
 
-    /// Writes `data` starting at `addr`.
+    /// Writes `data` starting at `addr`, wrapping past the top of the
+    /// address space; one page lookup per page touched.
     pub fn write_bytes(&mut self, addr: u64, data: &[u8]) {
-        for (i, &b) in data.iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u64), b);
+        let mut addr = addr;
+        let mut rest = data;
+        while !rest.is_empty() {
+            let off = (addr & OFFSET_MASK) as usize;
+            let n = rest.len().min(PAGE_SIZE - off);
+            self.page_mut(addr)[off..off + n].copy_from_slice(&rest[..n]);
+            rest = &rest[n..];
+            addr = addr.wrapping_add(n as u64);
         }
     }
 
@@ -150,6 +168,35 @@ mod tests {
         m.write_u64(64, 1);
         m.write_u64(64, 2);
         assert_eq!(m.read_u64(64), 2);
+    }
+
+    #[test]
+    fn ranges_across_several_pages_match_byte_accesses() {
+        let mut m = Memory::new();
+        let start = 3 * PAGE_SIZE as u64 - 5;
+        let data: Vec<u8> = (0..2 * PAGE_SIZE + 11).map(|i| (i * 7 + 1) as u8).collect();
+        m.write_bytes(start, &data);
+        assert_eq!(m.resident_pages(), 4);
+        for (i, &b) in data.iter().enumerate() {
+            assert_eq!(m.read_u8(start + i as u64), b);
+        }
+        // A read running past the written range into an untouched page
+        // reads zeros there and allocates nothing.
+        let mut buf = vec![0xff; data.len() + PAGE_SIZE];
+        m.read_bytes(start, &mut buf);
+        assert_eq!(&buf[..data.len()], &data[..]);
+        assert!(buf[data.len()..].iter().all(|&b| b == 0));
+        assert_eq!(m.resident_pages(), 4);
+    }
+
+    #[test]
+    fn writes_wrap_past_the_top_of_the_address_space() {
+        let mut m = Memory::new();
+        m.write_u64(u64::MAX - 2, 0x0807_0605_0403_0201);
+        assert_eq!(m.read_u8(u64::MAX), 3);
+        assert_eq!(m.read_u8(0), 4);
+        assert_eq!(m.read_u64(u64::MAX - 2), 0x0807_0605_0403_0201);
+        assert_eq!(m.resident_pages(), 2);
     }
 
     #[test]

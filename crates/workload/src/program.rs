@@ -35,9 +35,8 @@ pub struct Program {
 impl Program {
     /// Loads text and data into an address space.
     pub fn load_into(&self, mem: &mut Memory) {
-        for (i, &word) in self.text.iter().enumerate() {
-            mem.write_u32(self.text_base + i as u64 * multipath_isa::INST_BYTES, word);
-        }
+        let text: Vec<u8> = self.text.iter().flat_map(|w| w.to_le_bytes()).collect();
+        mem.write_bytes(self.text_base, &text);
         for seg in &self.data {
             mem.write_bytes(seg.base, &seg.bytes);
         }
