@@ -15,6 +15,7 @@
 
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -116,7 +117,8 @@ struct PoolQueue {
 /// queue bound instead of blocking — the backpressure primitive the
 /// `multipath serve` layer builds its 429 behaviour on. Dropping (or
 /// [`WorkerPool::shutdown`]-ing) the pool drains gracefully: queued and
-/// running jobs finish, new submissions are refused.
+/// running jobs finish, new submissions are refused. A job that panics
+/// ends alone; its worker goes on to the next job.
 ///
 /// # Examples
 ///
@@ -245,7 +247,9 @@ fn worker_loop(shared: &PoolShared) {
             }
         };
         shared.running.fetch_add(1, Ordering::Relaxed);
-        job();
+        // A panicking job ends only itself: the worker and the `running`
+        // count carry on. The panic hook has already reported it.
+        let _ = std::panic::catch_unwind(AssertUnwindSafe(job));
         shared.running.fetch_sub(1, Ordering::Relaxed);
     }
 }
@@ -320,6 +324,37 @@ mod tests {
         let (lock, cv) = &*gate;
         *lock.lock().unwrap() = true;
         cv.notify_all();
+        pool.shutdown();
+    }
+
+    #[test]
+    fn panicking_jobs_do_not_kill_workers() {
+        use std::sync::mpsc;
+        use std::time::{Duration, Instant};
+        let pool = WorkerPool::new(2, 64);
+        for _ in 0..2 {
+            pool.try_execute(|| panic!("job panics on purpose"))
+                .expect("queue has room");
+        }
+        let (tx, rx) = mpsc::channel();
+        for i in 0..40 {
+            let tx = tx.clone();
+            pool.try_execute(move || tx.send(i).unwrap())
+                .expect("queue has room");
+        }
+        for _ in 0..40 {
+            rx.recv_timeout(Duration::from_secs(10))
+                .expect("a worker survived the panics to run every job");
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while pool.running() != 0 {
+            assert!(
+                Instant::now() < deadline,
+                "running() stuck at {}",
+                pool.running()
+            );
+            std::thread::yield_now();
+        }
         pool.shutdown();
     }
 

@@ -43,7 +43,7 @@ pub struct CacheCounters {
 }
 
 struct Entry {
-    body: Arc<String>,
+    body: Arc<str>,
     last_used: u64,
 }
 
@@ -73,9 +73,9 @@ pub struct ResultCache {
 /// The outcome of [`ResultCache::get_or_begin`].
 pub enum Fetched<'a> {
     /// The document was already cached.
-    Hit(Arc<String>),
+    Hit(Arc<str>),
     /// Another request computed the document while this one waited.
-    Coalesced(Arc<String>),
+    Coalesced(Arc<str>),
     /// This request must compute the document; the guard holds the
     /// single-flight slot until [`ComputeGuard::fulfill`]ed or dropped.
     Miss(ComputeGuard<'a>),
@@ -159,7 +159,7 @@ impl ResultCache {
         self.capacity
     }
 
-    fn insert(&self, key: String, body: &Arc<String>) {
+    fn insert(&self, key: String, body: &Arc<str>) {
         let mut inner = self.inner.lock().expect("cache lock poisoned");
         inner.inflight.remove(&key);
         if body.len() > self.capacity {
@@ -215,10 +215,13 @@ pub struct ComputeGuard<'a> {
 
 impl ComputeGuard<'_> {
     /// Stores the computed document, wakes the coalesced waiters, and
-    /// returns the shared body.
-    pub fn fulfill(mut self, body: String) -> Arc<String> {
+    /// returns the shared body. The body is copied into an allocation of
+    /// exactly its length, so the bytes the budget counts are the bytes
+    /// held: a rendered `String` keeps its growth capacity, up to twice
+    /// its length.
+    pub fn fulfill(mut self, body: String) -> Arc<str> {
         self.resolved = true;
-        let body = Arc::new(body);
+        let body: Arc<str> = Arc::from(body);
         self.cache.insert(std::mem::take(&mut self.key), &body);
         body
     }
@@ -254,7 +257,7 @@ mod tests {
         let cache = ResultCache::new(1024);
         must_miss(&cache, "7").fulfill("seven".to_owned());
         match cache.get_or_begin("7".to_owned()) {
-            Fetched::Hit(body) => assert_eq!(*body, "seven"),
+            Fetched::Hit(body) => assert_eq!(&*body, "seven"),
             _ => panic!("expected hit"),
         }
         let c = cache.counters();

@@ -59,7 +59,7 @@ pub use request::{ExplainRequest, RunRequest};
 use multipath_bench::parallel::{self, WorkerPool};
 use multipath_core::{stats_json, CancelToken, ProbeConfig, RunSpec};
 use multipath_testkit::Json;
-use std::io::BufReader;
+use std::io::{BufReader, ErrorKind};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, Weak};
@@ -158,12 +158,18 @@ impl Server {
         while !shutdown.load(Ordering::Acquire) {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
-                    // The listener is non-blocking so the loop can poll
+                    // The listener is non-blocking so the loop can check
                     // `shutdown`; handlers want plain blocking sockets.
                     let _ = stream.set_nonblocking(false);
                     dispatch(&self.pool, &self.state, stream);
                 }
-                Err(_) => std::thread::sleep(Duration::from_millis(5)),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    wait_readable(&self.listener);
+                }
+                // A failed accept (out of descriptors, say) leaves the
+                // connection queued and the listener readable: back off
+                // rather than spin.
+                Err(_) => std::thread::sleep(SHUTDOWN_CHECK),
             }
         }
         drop(self.listener);
@@ -189,6 +195,53 @@ impl Server {
             thread,
         }
     }
+}
+
+/// The longest the accept loop waits for a connection before it checks
+/// its shutdown flag again, so a drain starts within this long of being
+/// requested.
+pub const SHUTDOWN_CHECK: Duration = Duration::from_millis(50);
+
+/// Blocks until `listener` has a connection to accept, [`SHUTDOWN_CHECK`]
+/// passes, or a signal interrupts the wait, through a raw `extern "C"`
+/// declaration of `poll(2)` (the workspace carries no libc crate; see
+/// [`signal`]). The kernel never restarts an interrupted `poll`, so a
+/// SIGINT/SIGTERM delivered to this thread ends the wait at once.
+#[cfg(unix)]
+fn wait_readable(listener: &TcpListener) {
+    use std::os::fd::AsRawFd;
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    type Nfds = std::ffi::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    type Nfds = std::ffi::c_uint;
+    const POLLIN: i16 = 1;
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout_ms: i32) -> i32;
+    }
+    let mut fd = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    // SAFETY: `poll` is the POSIX libc function the process is already
+    // linked against; `fd` is one valid `pollfd` that outlives the call.
+    // Every outcome (ready, timeout, EINTR) sends the caller back to
+    // `accept`, so the result is not inspected.
+    unsafe {
+        poll(&mut fd, 1, SHUTDOWN_CHECK.as_millis() as i32);
+    }
+}
+
+/// Without `poll(2)`, sleeps briefly and lets the caller retry `accept`.
+#[cfg(not(unix))]
+fn wait_readable(_listener: &TcpListener) {
+    std::thread::sleep(Duration::from_millis(5));
 }
 
 /// A running server started with [`Server::start`].

@@ -3,12 +3,15 @@
 //! The workspace carries no external dependencies, so SIGINT/SIGTERM
 //! handling goes through a raw `extern "C"` declaration of `signal(2)`.
 //! The handler does the only thing that is async-signal-safe in Rust:
-//! store a flag into a static atomic. The accept loop polls that flag
-//! and drains.
+//! store a flag into a static atomic. The accept loop checks that flag
+//! each time its `poll(2)` wait for a connection ends: at once when the
+//! signal interrupts the wait on the accept thread (the kernel never
+//! restarts `poll`), otherwise within [`crate::SHUTDOWN_CHECK`]. Then it
+//! drains.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Set by the signal handler; polled by the accept loop.
+/// Set by the signal handler; read by the accept loop.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
 /// Installs SIGINT (ctrl-c) and SIGTERM handlers that request a graceful

@@ -59,6 +59,27 @@ fn healthz_and_unknown_routes() {
 }
 
 #[test]
+fn accept_wakes_on_arrival() {
+    // An accept loop that sleeps between checks for a connection adds
+    // that sleep to every request; one that waits in `poll` does not.
+    let handle = start(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    });
+    let addr = handle.addr();
+    let started = std::time::Instant::now();
+    for _ in 0..50 {
+        assert_eq!(http::get(addr, "/healthz").unwrap().status, 200);
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_millis(125),
+        "50 /healthz round trips took {elapsed:?}"
+    );
+    handle.shutdown();
+}
+
+#[test]
 fn run_endpoint_caches_and_labels_outcomes() {
     let handle = start(ServeConfig {
         workers: 2,

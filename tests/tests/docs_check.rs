@@ -11,7 +11,9 @@
 //!   parser, and any `schema` tag it carries is one the code emits.
 //! * `CHANGES.md` PR entries are in strictly increasing order, so the
 //!   change log reads chronologically.
-//! * The quick budget EXPERIMENTS.md quotes is `Budget::quick()`.
+//! * The quick budget EXPERIMENTS.md quotes is `Budget::quick()`, and the
+//!   shutdown delay and request-size cap serving.md quotes are the
+//!   serving layer's constants.
 
 use multipath_testkit::Json;
 use std::collections::BTreeMap;
@@ -360,5 +362,27 @@ fn quoted_quick_budget_matches_the_code() {
     assert!(
         quotes > 0,
         "EXPERIMENTS.md no longer quotes the quick budget"
+    );
+}
+
+#[test]
+fn quoted_serve_limits_match_the_code() {
+    let text = std::fs::read_to_string(repo_root().join("docs/serving.md")).unwrap();
+    let prose = text.split_whitespace().collect::<Vec<_>>().join(" ");
+    let shutdown = "shutdown is noticed within";
+    let at = prose
+        .find(shutdown)
+        .expect("serving.md quotes the shutdown delay")
+        + shutdown.len();
+    let window: String = prose[at..].chars().take(20).collect();
+    assert_eq!(
+        quoted_number(&window, " ms").map(u128::from),
+        Some(multipath_serve::SHUTDOWN_CHECK.as_millis()),
+        "serving.md quotes the shutdown delay: {window}"
+    );
+    assert_eq!(
+        quoted_number(&prose, " commits × programs"),
+        Some(multipath_serve::request::MAX_COMMITS_PER_REQUEST),
+        "serving.md quotes the request-size cap"
     );
 }
