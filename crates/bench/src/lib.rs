@@ -1,18 +1,28 @@
 //! Experiment harness for the HPCA'99 instruction-recycling reproduction.
 //!
-//! Every figure of the paper's evaluation (Figures 3–6 and Table 1) is a
-//! declared [`Figure`]: the grid of cells it runs — machine × features ×
-//! alternate-path policy × program mix — plus one aggregation from the
-//! cells' statistics to a [`Table`]. `multipath figures` prints them.
+//! Every figure of the paper's evaluation (Figures 3–6 and Table 1), the
+//! `explain` attribution, and ten ablation studies beyond the paper are
+//! declared [`Figure`]s: the grid of cells each runs — machine × features
+//! × alternate-path policy × workload — plus one aggregation from the
+//! cells' results to a [`Table`]. `multipath figures` prints them; each
+//! ablation varies one knob of the machine or workload and reports IPC
+//! plus the statistics that knob most directly controls. Every
+//! `results/*.txt` file is the full-budget output of one command, the
+//! ablations' of
+//!
+//! ```text
+//! multipath figures spawn-latency predictor loop-body confidence active-list \
+//!     registers forks-per-cycle contexts recycled-pred mdb > results/ablations.txt
+//! ```
 //!
 //! [`tables`] runs the cells of any set of figures on the [`parallel`]
 //! engine, simulating each distinct cell once (Figure 3 and Table 1 are
-//! subsets of Figure 4, for instance), and hands every figure its own
-//! cells' statistics in its own order, so output is byte-identical at any
+//! subsets of Figure 4, for instance) — with the explain probes if any
+//! figure declaring it asks for them — and hands every figure its own
+//! cells' results in its own order, so output is byte-identical at any
 //! thread count and whether a figure runs alone or with the others.
 //! Workers via `MULTIPATH_THREADS` (default: all cores);
-//! `MULTIPATH_BUDGET=quick` selects the smoke-sized budget and
-//! `MP_BENCH_COMMITS`/`MP_BENCH_MIXES` fine-tune it.
+//! `MULTIPATH_BUDGET=quick` selects the smoke-sized budget.
 //!
 //! Absolute IPC is not expected to match the paper (its workloads were
 //! SPEC95 Alpha binaries on the authors' simulator; ours are synthetic
@@ -20,7 +30,12 @@
 //! which configuration wins, how gains move with program count, and where
 //! the recycling statistics land.
 
-use multipath_core::{AltPolicy, Features, ProbeConfig, ReuseDeny, RunSpec, SimConfig, Stats};
+use multipath_branch::DirectionScheme;
+use multipath_core::{
+    AltPolicy, Features, ProbeConfig, RecycledPrediction, ReuseDeny, RunSpec, SimConfig, Simulator,
+    Stats,
+};
+use multipath_workload::micro::MicroParams;
 use multipath_workload::{mix, Benchmark};
 use std::collections::HashMap;
 
@@ -63,27 +78,12 @@ impl Budget {
     }
 
     /// Reads the budget from the environment: `MULTIPATH_BUDGET=quick`
-    /// selects [`Budget::quick`] (anything else means [`Budget::full`]),
-    /// then `MP_BENCH_COMMITS` / `MP_BENCH_MIXES` override individual
-    /// knobs.
+    /// selects [`Budget::quick`]; anything else means [`Budget::full`].
     pub fn from_env() -> Budget {
-        let mut b = match std::env::var("MULTIPATH_BUDGET").as_deref() {
+        match std::env::var("MULTIPATH_BUDGET").as_deref() {
             Ok("quick") => Budget::quick(),
             _ => Budget::full(),
-        };
-        if let Some(n) = std::env::var("MP_BENCH_COMMITS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-        {
-            b.committed_per_program = n;
         }
-        if let Some(n) = std::env::var("MP_BENCH_MIXES")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-        {
-            b.mixes = n.clamp(1, 8);
-        }
-        b
     }
 }
 
@@ -94,15 +94,33 @@ pub struct Cell {
     pub config: SimConfig,
     /// The benchmarks co-scheduled in this run.
     pub workload: Vec<Benchmark>,
+    /// A microbenchmark co-scheduled after them, if any.
+    pub micro: Option<MicroParams>,
     /// Workload seed.
     pub seed: u64,
+    /// Whether the run carries the explain probes (they observe a run
+    /// without changing its statistics).
+    pub probed: bool,
 }
 
 impl Cell {
+    /// `workload` on `config`, unprobed.
+    pub fn new(config: SimConfig, workload: Vec<Benchmark>, seed: u64) -> Cell {
+        Cell {
+            config,
+            workload,
+            micro: None,
+            seed,
+            probed: false,
+        }
+    }
+
     /// This cell as a run under `budget`'s commit target and cycle cap.
     pub fn spec(&self, budget: &Budget) -> RunSpec {
         RunSpec {
+            micro: self.micro,
             max_cycles: budget.max_cycles,
+            probes: self.probed.then(ProbeConfig::explain),
             ..RunSpec::new(
                 self.config.clone(),
                 self.workload.clone(),
@@ -113,32 +131,51 @@ impl Cell {
     }
 }
 
-/// Runs one cell to the budget and returns the statistics.
-pub fn run_cell(cell: &Cell, budget: &Budget) -> Stats {
-    cell.spec(budget).run().stats().clone()
+/// What a figure reads of one cell's run: its statistics and, if the
+/// cell was probed, its reuse denials by cause.
+#[derive(Debug, Clone)]
+pub struct Run {
+    /// The run's statistics.
+    pub stats: Stats,
+    /// Reuse denials by cause, in [`ReuseDeny::ALL`] order (probed runs).
+    pub denied: Option<[u64; ReuseDeny::COUNT]>,
+}
+
+impl From<Simulator> for Run {
+    fn from(mut sim: Simulator) -> Run {
+        let denied = sim
+            .take_probes()
+            .and_then(|p| p.attribution)
+            .map(|a| a.reuse_denied);
+        Run {
+            stats: sim.stats().clone(),
+            denied,
+        }
+    }
 }
 
 /// Panics, naming the cell, if it stopped short of its commit target —
 /// a cell that ran into `max_cycles` must not be averaged in silently.
 fn check_target(cell: &Cell, stats: &Stats, budget: &Budget) {
-    let target = budget.committed_per_program * cell.workload.len() as u64;
+    let spec = cell.spec(budget);
     assert!(
-        stats.committed >= target,
-        "cell missed its commit target ({} of {target} committed in {} cycles): {}",
+        stats.committed >= spec.target(),
+        "cell missed its commit target ({} of {} committed in {} cycles): {}",
         stats.committed,
+        spec.target(),
         stats.cycles,
-        cell.spec(budget).canonical_string()
+        spec.canonical_string()
     );
 }
 
 /// The cell for `bench` running alone under `features` on the baseline
 /// machine.
 fn single_cell(bench: Benchmark, features: Features, budget: &Budget) -> Cell {
-    Cell {
-        config: SimConfig::big_2_16().with_features(features),
-        workload: vec![bench],
-        seed: budget.seed,
-    }
+    Cell::new(
+        SimConfig::big_2_16().with_features(features),
+        vec![bench],
+        budget.seed,
+    )
 }
 
 /// The cells behind one multi-program average: the paper's evenly-weighted
@@ -149,11 +186,7 @@ fn mix_cells(config: &SimConfig, n_programs: usize, budget: &Budget) -> Vec<Cell
     mixes
         .into_iter()
         .take(take)
-        .map(|m| Cell {
-            config: config.clone(),
-            workload: m,
-            seed: budget.seed,
-        })
+        .map(|m| Cell::new(config.clone(), m, budget.seed))
         .collect()
 }
 
@@ -326,24 +359,42 @@ pub use render_text as render_table1;
 // Figures: declared cell grids.
 // ---------------------------------------------------------------------
 
-/// Every name `multipath figures` renders, in its default order.
-pub const FIGURES: [&str; 6] = ["fig3", "fig4", "fig5", "fig6", "table1", "explain"];
+/// Every name `multipath figures` renders, in its default order: the
+/// paper's figures, the explain attribution, then the ablations.
+pub const FIGURES: [&str; 16] = [
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "table1",
+    "explain",
+    "spawn-latency",
+    "predictor",
+    "loop-body",
+    "confidence",
+    "active-list",
+    "registers",
+    "forks-per-cycle",
+    "contexts",
+    "recycled-pred",
+    "mdb",
+];
 
-/// A figure of the paper's evaluation: the cells it runs and how their
-/// statistics become its table.
+/// A declared figure: the cells it runs and how their results become its
+/// table.
 pub struct Figure {
     /// The name `multipath figures` knows it by.
     pub name: &'static str,
-    /// Every cell, in the order the aggregation reads their statistics.
+    /// Every cell, in the order the aggregation reads their results.
     pub cells: Vec<Cell>,
     aggregate: Aggregate,
 }
 
-/// A figure's aggregation: its cells' statistics, in cell order, to its
-/// table.
-type Aggregate = Box<dyn Fn(&[Stats]) -> Table>;
+/// A figure's aggregation: its cells' runs, in cell order, to its table.
+type Aggregate = Box<dyn Fn(&[Run]) -> Table>;
 
 impl Figure {
+    /// A figure that reads only its cells' statistics.
     fn new(
         name: &'static str,
         cells: Vec<Cell>,
@@ -352,18 +403,21 @@ impl Figure {
         Figure {
             name,
             cells,
-            aggregate: Box::new(aggregate),
+            aggregate: Box::new(move |runs: &[Run]| {
+                let stats: Vec<Stats> = runs.iter().map(|r| r.stats.clone()).collect();
+                aggregate(&stats)
+            }),
         }
     }
 
-    /// The figure's table from `stats[i]`, the statistics of `cells[i]`.
-    pub fn table(&self, stats: &[Stats]) -> Table {
-        (self.aggregate)(stats)
+    /// The figure's table from `runs[i]`, the run of `cells[i]`.
+    pub fn table(&self, runs: &[Run]) -> Table {
+        (self.aggregate)(runs)
     }
 }
 
-/// The sweep figure `name` (any of [`FIGURES`] but `explain`) declared at
-/// `budget`; `None` for any other name.
+/// The figure `name` (any of [`FIGURES`]) declared at `budget`; `None`
+/// for any other name.
 pub fn figure(name: &str, budget: &Budget) -> Option<Figure> {
     Some(match name {
         "fig3" => fig3(budget),
@@ -371,7 +425,8 @@ pub fn figure(name: &str, budget: &Budget) -> Option<Figure> {
         "fig5" => fig5(budget),
         "fig6" => fig6(budget),
         "table1" => fig_table1(budget),
-        _ => return None,
+        "explain" => explain(budget),
+        _ => return ablation_study(name, budget),
     })
 }
 
@@ -544,29 +599,58 @@ fn fig6(budget: &Budget) -> Figure {
     })
 }
 
-/// A Table 1 statistic of one run (or of several, combined).
+/// A statistic of one run (or of several, combined).
 type Metric = fn(&Stats) -> f64;
 
-/// Table 1's value columns: text header, CSV header, width, statistic.
-const TABLE1: [(&str, &str, usize, Metric); 8] = [
-    ("recyc%", "recycled_pct", 8, Stats::pct_recycled),
-    ("reuse%", "reused_pct", 7, Stats::pct_reused),
-    ("misscov%", "misscov_pct", 9, Stats::pct_miss_covered),
-    ("tme%", "forks_tme_pct", 6, Stats::pct_forks_tme),
-    ("recyc%", "forks_recycled_pct", 6, Stats::pct_forks_recycled),
+/// A statistic's column: text header, CSV header, width, decimal places
+/// (text, CSV), and its value.
+type Stat = (&'static str, &'static str, usize, [usize; 2], Metric);
+
+/// The column of `stat`.
+fn column(stat: &Stat) -> Column {
+    Column::new(stat.0, stat.1, stat.2, stat.3)
+}
+
+/// Table 1's value columns.
+const TABLE1: [Stat; 8] = [
+    ("recyc%", "recycled_pct", 8, [1, 2], Stats::pct_recycled),
+    ("reuse%", "reused_pct", 7, [1, 2], Stats::pct_reused),
+    (
+        "misscov%",
+        "misscov_pct",
+        9,
+        [1, 2],
+        Stats::pct_miss_covered,
+    ),
+    ("tme%", "forks_tme_pct", 6, [1, 2], Stats::pct_forks_tme),
+    (
+        "recyc%",
+        "forks_recycled_pct",
+        6,
+        [1, 2],
+        Stats::pct_forks_recycled,
+    ),
     (
         "respawn%",
         "forks_respawned_pct",
         8,
+        [1, 2],
         Stats::pct_forks_respawned,
     ),
     (
         "merges/alt",
         "merges_per_alt",
         10,
+        [1, 2],
         Stats::merges_per_alt_path,
     ),
-    ("back%", "back_merges_pct", 7, Stats::pct_back_merges),
+    (
+        "back%",
+        "back_merges_pct",
+        7,
+        [1, 2],
+        Stats::pct_back_merges,
+    ),
 ];
 
 /// Table 1: per-benchmark recycling statistics under REC/RS/RU, then
@@ -586,7 +670,7 @@ fn fig_table1(budget: &Budget) -> Figure {
     Figure::new("table1", cells, move |stats| {
         let row = |label: &str, s: &Stats| {
             let mut row = vec![Value::Text(label.to_owned())];
-            row.extend(TABLE1.iter().map(|c| Value::Float((c.3)(s))));
+            row.extend(TABLE1.iter().map(|c| Value::Float((c.4)(s))));
             row
         };
         let mut rows: Vec<_> = Benchmark::ALL
@@ -598,8 +682,217 @@ fn fig_table1(budget: &Budget) -> Figure {
             rows.push(row(label, &combine(&stats[span.clone()])));
         }
         let mut columns = vec![Column::key("program", 12)];
-        columns.extend(TABLE1.iter().map(|c| Column::new(c.0, c.1, c.2, [1, 2])));
+        columns.extend(TABLE1.iter().map(column));
         Table::new(columns, 1, rows)
+    })
+}
+
+// ---------------------------------------------------------------------
+// Ablations: one design knob at a time, beyond the paper.
+// ---------------------------------------------------------------------
+
+const IPC: Stat = ("IPC", "ipc", 8, [2, 4], Stats::ipc);
+const COVERAGE: Stat = (
+    "coverage%",
+    "coverage_pct",
+    10,
+    [1, 2],
+    Stats::pct_miss_covered,
+);
+const RECYCLED: Stat = ("recycled%", "recycled_pct", 10, [1, 2], Stats::pct_recycled);
+const ACCURACY: Stat = ("acc%", "accuracy_pct", 8, [1, 2], Stats::branch_accuracy);
+const FORKS: Stat = ("forks", "forks", 8, [0, 0], |s| s.forks as f64);
+
+/// An ablation: one row per cell, its labels under the row-label columns
+/// `keys`, then `stats` of its run.
+fn ablation(
+    name: &'static str,
+    keys: &[&str],
+    rows: Vec<(Vec<Value>, Cell)>,
+    stats: &'static [Stat],
+) -> Figure {
+    let (labels, cells): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
+    let mut columns: Vec<Column> = keys.iter().map(|k| Column::key(k, 10)).collect();
+    columns.extend(stats.iter().map(column));
+    let keys = keys.len();
+    Figure::new(name, cells, move |all| {
+        let rows = labels
+            .iter()
+            .zip(all)
+            .map(|(labels, s)| {
+                let values = stats.iter().map(|stat| Value::Float((stat.4)(s)));
+                labels.iter().cloned().chain(values).collect()
+            })
+            .collect();
+        Table::new(columns.clone(), keys, rows)
+    })
+}
+
+/// One row per setting of a knob, labelled by the setting: `cell` with
+/// `set` applying the setting.
+fn settings(values: &[u64], cell: Cell, set: fn(&mut Cell, u64)) -> Vec<(Vec<Value>, Cell)> {
+    values
+        .iter()
+        .map(|&n| {
+            let mut cell = cell.clone();
+            set(&mut cell, n);
+            (vec![Value::Int(n)], cell)
+        })
+        .collect()
+}
+
+/// The ablation study `name` declared at `budget`; `None` if there is
+/// none of that name.
+fn ablation_study(name: &str, budget: &Budget) -> Option<Figure> {
+    use Benchmark::{Compress, Gcc, Go, Perl, Tomcatv, Vortex};
+    let name = FIGURES.into_iter().find(|&n| n == name)?;
+    let (tme, rec) = (Features::tme(), Features::rec_rs_ru());
+    // `workload` on the baseline machine under `features`.
+    let on = |features, workload: &[Benchmark]| {
+        let config = SimConfig::big_2_16().with_features(features);
+        Cell::new(config, workload.to_vec(), budget.seed)
+    };
+    Some(match name {
+        // MSB spawn latency: the cost of slow duplication of register
+        // state into a spare context.
+        "spawn-latency" => ablation(
+            name,
+            &["cycles"],
+            settings(&[1, 4, 8, 16], on(tme, &[Go]), |c, n| {
+                c.config.spawn_latency = n as u32;
+            }),
+            &[IPC, COVERAGE],
+        ),
+        // Direction-prediction scheme per kernel: the paper's gshare
+        // against bimodal and McFarling combining.
+        "predictor" => {
+            let schemes = [
+                ("gshare", DirectionScheme::Gshare),
+                ("bimodal", DirectionScheme::Bimodal),
+                ("combining", DirectionScheme::Combining),
+            ];
+            let rows = [Gcc, Go, Perl, Vortex].into_iter().flat_map(|bench| {
+                schemes.map(|(label, scheme)| {
+                    let mut cell = on(rec, &[bench]);
+                    cell.config.predictor.scheme = scheme;
+                    let labels = [bench.name(), label].map(|l| Value::Text(l.to_owned()));
+                    (labels.to_vec(), cell)
+                })
+            });
+            ablation(name, &["bench", "scheme"], rows.collect(), &[ACCURACY, IPC])
+        }
+        // Loop-body size vs backward-branch recycling in a
+        // microbenchmark, with 64-slot active lists: the paper's "only
+        // loops smaller than the current active lists are able to
+        // benefit".
+        "loop-body" => ablation(
+            name,
+            &["body"],
+            settings(&[16, 32, 48, 64, 96, 160], on(rec, &[]), |c, n| {
+                c.micro = Some(MicroParams {
+                    loop_body: n as usize,
+                    ..MicroParams::default()
+                });
+            }),
+            &[
+                IPC,
+                RECYCLED,
+                ("back", "back_merges", 8, [0, 0], |s| s.back_merges as f64),
+            ],
+        ),
+        // Confidence threshold: how eagerly TME forks. Waste is renamed
+        // but squashed instructions per committed one.
+        "confidence" => ablation(
+            name,
+            &["threshold"],
+            settings(&[4, 8, 12, 15], on(tme, &[Go]), |c, n| {
+                c.config.predictor.conf_threshold = n as u8;
+            }),
+            &[
+                IPC,
+                FORKS,
+                COVERAGE,
+                ("waste", "waste", 10, [2, 4], |s| {
+                    (s.renamed - s.committed) as f64 / s.committed as f64
+                }),
+            ],
+        ),
+        // Active-list slots: the recycle trace capacity.
+        "active-list" => ablation(
+            name,
+            &["slots"],
+            settings(&[32, 64, 128, 256], on(rec, &[Tomcatv]), |c, n| {
+                c.config.active_list = n as usize;
+            }),
+            &[
+                IPC,
+                RECYCLED,
+                ("merges", "merges", 8, [0, 0], |s| s.merges as f64),
+            ],
+        ),
+        // Physical registers per file under a 4-program mix: the renaming
+        // headroom under recycling.
+        "registers" => ablation(
+            name,
+            &["registers"],
+            settings(&[288, 356, 452], on(rec, &mix::rotations(4)[0]), |c, n| {
+                c.config.phys_int = n as usize;
+                c.config.phys_fp = n as usize;
+            }),
+            &[
+                IPC,
+                ("preg stalls", "preg_stall_cycles", 12, [0, 0], |s| {
+                    s.preg_stall_cycles as f64
+                }),
+            ],
+        ),
+        // Forks per cycle: the spawn bandwidth.
+        "forks-per-cycle" => ablation(
+            name,
+            &["forks/cyc"],
+            settings(&[1, 2, 4], on(rec, &[Gcc]), |c, n| {
+                c.config.forks_per_cycle = n as usize;
+            }),
+            &[
+                IPC,
+                FORKS,
+                ("refused", "fork_refused_cap", 10, [0, 0], |s| {
+                    s.fork_refused_cap as f64
+                }),
+            ],
+        ),
+        // Hardware contexts: how many spares the one program gets.
+        "contexts" => ablation(
+            name,
+            &["contexts"],
+            settings(&[2, 4, 8], on(tme, &[Go]), |c, n| {
+                c.config.contexts = n as usize
+            }),
+            &[IPC, FORKS, COVERAGE],
+        ),
+        // The paper's two recycled-branch prediction methods (Section 3.4).
+        "recycled-pred" => {
+            let methods = [
+                ("repredict", RecycledPrediction::Repredict),
+                ("trace", RecycledPrediction::Trace),
+            ];
+            let rows = methods.map(|(label, method)| {
+                let mut cell = on(rec, &[Perl]);
+                cell.config.recycled_prediction = method;
+                (vec![Value::Text(label.to_owned())], cell)
+            });
+            ablation(name, &["method"], rows.to_vec(), &[IPC, RECYCLED, ACCURACY])
+        }
+        // MDB entries: the reach of load reuse.
+        "mdb" => ablation(
+            name,
+            &["entries"],
+            settings(&[16, 64, 256], on(rec, &[Compress]), |c, n| {
+                c.config.mdb_entries = n as usize;
+            }),
+            &[IPC, ("reused", "reused", 8, [0, 0], |s| s.reused as f64)],
+        ),
+        _ => return None,
     })
 }
 
@@ -609,29 +902,25 @@ fn fig_table1(budget: &Budget) -> Figure {
 
 /// The distinct cells of `figures` under `budget`, in first-seen order,
 /// and for each figure the index of each of its cells in that list. Two
-/// cells are one when their runs' canonical strings are equal.
+/// cells are one when their runs' canonical strings are equal; the one is
+/// probed if any of them is.
 pub fn distinct_cells(figures: &[Figure], budget: &Budget) -> (Vec<Cell>, Vec<Vec<usize>>) {
-    dedup(figures.iter().map(|f| f.cells.as_slice()), budget)
-}
-
-/// [`distinct_cells`] over any cell lists.
-fn dedup<'a>(
-    lists: impl Iterator<Item = &'a [Cell]>,
-    budget: &Budget,
-) -> (Vec<Cell>, Vec<Vec<usize>>) {
     let mut index = HashMap::new();
-    let mut distinct = Vec::new();
-    let slots = lists
-        .map(|cells| {
-            cells
+    let mut distinct: Vec<Cell> = Vec::new();
+    let slots = figures
+        .iter()
+        .map(|f| {
+            f.cells
                 .iter()
                 .map(|cell| {
-                    *index
+                    let i = *index
                         .entry(cell.spec(budget).canonical_string())
                         .or_insert_with(|| {
                             distinct.push(cell.clone());
                             distinct.len() - 1
-                        })
+                        });
+                    distinct[i].probed |= cell.probed;
+                    i
                 })
                 .collect()
         })
@@ -639,111 +928,61 @@ fn dedup<'a>(
     (distinct, slots)
 }
 
-/// One run of the sweep: its statistics and, if it carried the explain
-/// probes, its reuse denials by cause.
-#[derive(Clone)]
-struct Run {
-    stats: Stats,
-    denied: Option<[u64; ReuseDeny::COUNT]>,
-}
-
-/// Runs `cell`, with the explain probes if `probed`. Probes observe a
-/// run without changing its statistics.
-fn run(cell: &Cell, probed: bool, budget: &Budget) -> Run {
-    let spec = RunSpec {
-        probes: probed.then(ProbeConfig::explain),
-        ..cell.spec(budget)
-    };
-    let mut sim = spec.run();
-    let denied = sim
-        .take_probes()
-        .map(|p| p.attribution.expect("attribution sink on").reuse_denied);
-    Run {
-        stats: sim.stats().clone(),
-        denied,
-    }
-}
-
-/// Runs the cells of `figures` and the `probed` cells in one parallel
-/// sweep — each distinct cell once, however many lists declare it, with
-/// the explain probes if `probed` holds it — and returns each figure's
-/// table, in order, and the runs of `probed`, in order. Nothing is kept
-/// past the call. Panics naming the cell if any cell misses its commit
-/// target.
-fn sweep(figures: &[Figure], probed: &[Cell], budget: &Budget) -> (Vec<Table>, Vec<Run>) {
-    let lists = figures.iter().map(|f| f.cells.as_slice()).chain([probed]);
-    let (cells, mut slots) = dedup(lists, budget);
-    let probed_slots = slots.pop().expect("slots of the probed cells");
-    let mut jobs: Vec<(&Cell, bool)> = cells.iter().map(|c| (c, false)).collect();
-    for &i in &probed_slots {
-        jobs[i].1 = true;
-    }
-    let runs = parallel::map(&jobs, |&(cell, probed)| run(cell, probed, budget));
+/// Runs the cells of `figures` in one parallel sweep — each distinct cell
+/// once, however many figures declare it — and returns each figure's
+/// table, in order. Nothing is kept past the call. Panics naming the cell
+/// if any cell misses its commit target.
+fn sweep(figures: &[Figure], budget: &Budget) -> Vec<Table> {
+    let (cells, slots) = distinct_cells(figures, budget);
+    let runs = parallel::map(&cells, |cell| Run::from(cell.spec(budget).run()));
     for (cell, r) in cells.iter().zip(&runs) {
         check_target(cell, &r.stats, budget);
     }
-    let tables = figures
+    figures
         .iter()
         .zip(slots)
         .map(|(f, slots)| {
-            let own: Vec<Stats> = slots.iter().map(|&i| runs[i].stats.clone()).collect();
+            let own: Vec<Run> = slots.iter().map(|&i| runs[i].clone()).collect();
             f.table(&own)
         })
-        .collect();
-    let probed_runs = probed_slots.iter().map(|&i| runs[i].clone()).collect();
-    (tables, probed_runs)
+        .collect()
 }
 
 /// The tables of the figures `names` (any of [`FIGURES`]), in order, from
-/// one sweep: `explain`'s probed runs also serve the figures that share
-/// its cells.
+/// one sweep.
 pub fn tables(names: &[&str], budget: &Budget) -> Vec<Table> {
     let figures: Vec<Figure> = names
         .iter()
-        .filter(|&&n| n != "explain")
         .map(|n| figure(n, budget).unwrap_or_else(|| panic!("unknown figure '{n}'")))
         .collect();
-    let probed = if names.contains(&"explain") {
-        explain_cells(budget)
-    } else {
-        Vec::new()
-    };
-    let (swept, runs) = sweep(&figures, &probed, budget);
-    let mut swept = swept.into_iter();
-    names
-        .iter()
-        .map(|&n| match n {
-            "explain" => explain_table(&probed, &runs),
-            _ => swept.next().expect("one table per sweep figure"),
-        })
-        .collect()
+    sweep(&figures, budget)
 }
 
 /// Runs Figure 3 (single-program IPC for SMT/TME/REC/REC-RU/REC-RS/
 /// REC-RS-RU on the baseline machine).
 pub fn figure3(budget: &Budget) -> Table {
-    sweep(&[fig3(budget)], &[], budget).0.remove(0)
+    sweep(&[fig3(budget)], budget).remove(0)
 }
 
 /// Runs Figure 4 (average IPC for 1/2/4 programs under the six
 /// configurations).
 pub fn figure4(budget: &Budget) -> Table {
-    sweep(&[fig4(budget)], &[], budget).0.remove(0)
+    sweep(&[fig4(budget)], budget).remove(0)
 }
 
 /// Runs Figure 5 (nine alternate-path policies under REC/RS/RU).
 pub fn figure5(budget: &Budget) -> Table {
-    sweep(&[fig5(budget)], &[], budget).0.remove(0)
+    sweep(&[fig5(budget)], budget).remove(0)
 }
 
 /// Runs Figure 6 (SMT vs TME vs REC/RS/RU on each machine model).
 pub fn figure6(budget: &Budget) -> Table {
-    sweep(&[fig6(budget)], &[], budget).0.remove(0)
+    sweep(&[fig6(budget)], budget).remove(0)
 }
 
 /// Runs Table 1 (recycling statistics under REC/RS/RU).
 pub fn table1(budget: &Budget) -> Table {
-    sweep(&[fig_table1(budget)], &[], budget).0.remove(0)
+    sweep(&[fig_table1(budget)], budget).remove(0)
 }
 
 // ---------------------------------------------------------------------
@@ -767,26 +1006,28 @@ fn short_cause(name: &str) -> &str {
 /// explain`: for every kernel alone under REC/RS/RU, the recycled and
 /// reused counts, the reuse yield, the reuse denials by cause (in
 /// [`ReuseDeny::ALL`] order; they sum to `recycled - reused`), and the
-/// fork refusals. Each run carries the explain probes.
-pub fn explain(budget: &Budget) -> Table {
-    let cells = explain_cells(budget);
-    explain_table(&cells, &sweep(&[], &cells, budget).1)
-}
-
-/// The cells `explain` reports on: every kernel alone under REC/RS/RU.
-fn explain_cells(budget: &Budget) -> Vec<Cell> {
-    Benchmark::ALL
+/// fork refusals. Its cells carry the explain probes.
+fn explain(budget: &Budget) -> Figure {
+    let cells = Benchmark::ALL
         .into_iter()
-        .map(|bench| single_cell(bench, Features::rec_rs_ru(), budget))
-        .collect()
+        .map(|bench| Cell {
+            probed: true,
+            ..single_cell(bench, Features::rec_rs_ru(), budget)
+        })
+        .collect();
+    Figure {
+        name: "explain",
+        cells,
+        aggregate: Box::new(explain_table),
+    }
 }
 
-/// The explain table of `cells` from their probed `runs`.
-fn explain_table(cells: &[Cell], runs: &[Run]) -> Table {
-    let rows = cells
+/// The explain table from the probed runs of its cells.
+fn explain_table(runs: &[Run]) -> Table {
+    let rows = Benchmark::ALL
         .iter()
         .zip(runs)
-        .map(|(cell, run)| {
+        .map(|(bench, run)| {
             let s = &run.stats;
             let yield_pct = if s.recycled == 0 {
                 0.0
@@ -794,7 +1035,7 @@ fn explain_table(cells: &[Cell], runs: &[Run]) -> Table {
                 100.0 * s.reused as f64 / s.recycled as f64
             };
             let mut row = vec![
-                Value::Text(cell.workload[0].name().to_owned()),
+                Value::Text(bench.name().to_owned()),
                 Value::Int(s.recycled),
                 Value::Int(s.reused),
                 Value::Float(yield_pct),
@@ -857,7 +1098,7 @@ mod tests {
 
     #[test]
     fn quick_explain_rows_reconcile() {
-        let table = explain(&tiny_budget());
+        let table = tables(&["explain"], &tiny_budget()).remove(0);
         assert_eq!(table.rows.len(), 8);
         for row in &table.rows {
             let (recycled, reused) = (float(&row[1]), float(&row[2]));
@@ -899,6 +1140,6 @@ mod tests {
             seed: 1,
             mixes: 1,
         };
-        sweep(&[fig4(&budget)], &[], &budget);
+        sweep(&[fig4(&budget)], &budget);
     }
 }

@@ -4,9 +4,20 @@
 use multipath_bench::{distinct_cells, figure, render_csv, render_text, tables, Budget, FIGURES};
 use multipath_testkit::TestRng;
 
-/// The sweep figures: every name in [`FIGURES`] but `explain`.
-fn sweep_names() -> Vec<&'static str> {
-    FIGURES.into_iter().filter(|&n| n != "explain").collect()
+/// The paper's five figures: the first five names of [`FIGURES`].
+fn paper_names() -> &'static [&'static str] {
+    &FIGURES[..5]
+}
+
+#[test]
+fn every_listed_name_resolves_through_figure() {
+    let budget = Budget::quick();
+    for name in FIGURES {
+        let f = figure(name, &budget).unwrap_or_else(|| panic!("{name} is not declared"));
+        assert_eq!(f.name, name);
+        assert!(!f.cells.is_empty(), "{name} declares no cells");
+    }
+    assert!(figure("fig9", &budget).is_none());
 }
 
 #[test]
@@ -34,9 +45,9 @@ fn one_deduplicated_sweep_renders_each_figure_as_it_renders_alone() {
 #[test]
 fn the_full_budget_suite_declares_552_distinct_of_720_cells() {
     let budget = Budget::full();
-    let figures: Vec<_> = sweep_names()
-        .into_iter()
-        .map(|n| figure(n, &budget).expect("a sweep figure"))
+    let figures: Vec<_> = paper_names()
+        .iter()
+        .map(|n| figure(n, &budget).expect("a paper figure"))
         .collect();
     let declared: usize = figures.iter().map(|f| f.cells.len()).sum();
     let (distinct, slots) = distinct_cells(&figures, &budget);
@@ -52,5 +63,47 @@ fn the_full_budget_suite_declares_552_distinct_of_720_cells() {
                 f.name
             );
         }
+    }
+}
+
+#[test]
+fn the_full_budget_figure_list_declares_584_distinct_of_772_cells() {
+    let budget = Budget::full();
+    let figures: Vec<_> = FIGURES
+        .iter()
+        .map(|n| figure(n, &budget).expect("a declared figure"))
+        .collect();
+    let declared: usize = figures.iter().map(|f| f.cells.len()).sum();
+    let (distinct, _) = distinct_cells(&figures, &budget);
+    // The paper's 720 and 552, explain's 8 (all Figure 3's), and the
+    // ablations' 44, of which 32 are new.
+    assert_eq!(declared, 772);
+    assert_eq!(distinct.len(), 584);
+    assert_eq!(distinct.iter().filter(|c| c.probed).count(), 8);
+}
+
+#[test]
+fn explain_shares_figure_3s_cells_and_probes_them() {
+    let budget = Budget {
+        committed_per_program: 1_000,
+        ..Budget::quick()
+    };
+    let names = ["fig3", "explain"];
+    let figures: Vec<_> = names.iter().map(|n| figure(n, &budget).unwrap()).collect();
+    let (distinct, slots) = distinct_cells(&figures, &budget);
+    assert_eq!(
+        distinct.len(),
+        figures[0].cells.len(),
+        "each cell runs once"
+    );
+    for &i in &slots[1] {
+        assert!(distinct[i].probed, "an explain cell runs unprobed");
+    }
+    let probed = distinct.iter().filter(|c| c.probed).count();
+    assert_eq!(probed, slots[1].len(), "only explain's cells are probed");
+    let together = tables(&names, &budget);
+    for (name, table) in names.iter().zip(&together) {
+        let alone = tables(&[name], &budget).remove(0);
+        assert_eq!(render_csv(table), render_csv(&alone), "{name}");
     }
 }

@@ -3,7 +3,7 @@
 //! rendered table, must be bit-identical whether cells run on one worker
 //! or many.
 
-use multipath_bench::{figure, parallel, render_text, run_cell, Budget, Cell};
+use multipath_bench::{figure, parallel, render_text, Budget, Cell, Run};
 use multipath_core::{Features, SimConfig};
 use multipath_workload::{mix, Benchmark};
 
@@ -17,18 +17,12 @@ fn sweep_cells(budget: &Budget) -> Vec<Cell> {
     let mut cells = Vec::new();
     for bench in [Benchmark::Compress, Benchmark::Go, Benchmark::Tomcatv] {
         for features in [Features::smt(), Features::rec_rs_ru()] {
-            cells.push(Cell {
-                config: SimConfig::big_2_16().with_features(features),
-                workload: vec![bench],
-                seed: budget.seed,
-            });
+            let config = SimConfig::big_2_16().with_features(features);
+            cells.push(Cell::new(config, vec![bench], budget.seed));
         }
     }
-    cells.push(Cell {
-        config: SimConfig::big_2_16().with_features(Features::rec_rs_ru()),
-        workload: mix::rotations(4)[0].clone(),
-        seed: budget.seed,
-    });
+    let config = SimConfig::big_2_16().with_features(Features::rec_rs_ru());
+    cells.push(Cell::new(config, mix::rotations(4)[0].clone(), budget.seed));
     cells
 }
 
@@ -36,9 +30,10 @@ fn sweep_cells(budget: &Budget) -> Vec<Cell> {
 fn run_cell_results_are_identical_across_thread_counts() {
     let budget = tiny_budget();
     let cells = sweep_cells(&budget);
-    let serial = parallel::map_with(1, &cells, |c| run_cell(c, &budget));
+    let run = |c: &Cell| c.spec(&budget).run().stats().clone();
+    let serial = parallel::map_with(1, &cells, run);
     for threads in [2usize, 4, 8] {
-        let sharded = parallel::map_with(threads, &cells, |c| run_cell(c, &budget));
+        let sharded = parallel::map_with(threads, &cells, run);
         // Stats is plain data with a derived Debug covering every counter;
         // equal Debug output means equal statistics.
         for (i, (a, b)) in serial.iter().zip(&sharded).enumerate() {
@@ -54,10 +49,10 @@ fn run_cell_results_are_identical_across_thread_counts() {
 #[test]
 fn rendered_tables_are_byte_identical_across_thread_counts() {
     let budget = tiny_budget();
-    let fig3 = figure("fig3", &budget).expect("fig3 is a sweep figure");
+    let fig3 = figure("fig3", &budget).expect("fig3 is a declared figure");
     let render = |threads: usize| {
-        let stats = parallel::map_with(threads, &fig3.cells, |c| run_cell(c, &budget));
-        render_text(&fig3.table(&stats))
+        let runs = parallel::map_with(threads, &fig3.cells, |c| Run::from(c.spec(&budget).run()));
+        render_text(&fig3.table(&runs))
     };
     assert_eq!(
         render(1),

@@ -23,7 +23,7 @@ pub const USAGE: &str = "usage:\n  multipath run [OPTIONS] <BENCH>...\n  \
     multipath trace [OPTIONS] <BENCH>...\n  \
     multipath explain [OPTIONS] <BENCH>...\n  \
     multipath compare [OPTIONS] <BENCH>...\n  \
-    multipath figures [fig3|fig4|fig5|fig6|table1|explain]...\n  \
+    multipath figures [FIGURE]...\n  \
     multipath serve [SERVE OPTIONS]\n  \
     multipath list\n  multipath disasm <BENCH>\n\noptions:\n  \
     --features smt|tme|rec|rec-ru|rec-rs|rec-rs-ru\n  \
@@ -35,6 +35,12 @@ pub const USAGE: &str = "usage:\n  multipath run [OPTIONS] <BENCH>...\n  \
     serve options:\n  \
     --addr HOST:PORT (default 127.0.0.1:8273)   --workers N (default: all cores)\n  \
     --queue N (default 64)   --cache-mb N (default 64)\n\n\
+    figures (default: all, in this order):\n  \
+    fig3 fig4 fig5 fig6 table1 explain   the paper's figures, reuse attribution\n  \
+    spawn-latency predictor loop-body confidence active-list registers\n  \
+    forks-per-cycle contexts recycled-pred mdb   ablations; all ten at once:\n    \
+    multipath figures spawn-latency predictor loop-body confidence active-list \
+    registers forks-per-cycle contexts recycled-pred mdb > results/ablations.txt\n\n\
     environment (figures):\n  \
     MULTIPATH_THREADS=N   sweep worker count (default: all cores)\n  \
     MULTIPATH_BUDGET=quick   smoke-sized sweep\n  MP_FORMAT=csv   CSV output\n";
@@ -378,6 +384,12 @@ mod tests {
             parse_invocation(&argv("figures")),
             Ok(Invocation::Figures(f)) if f.len() == FIGURES.len()
         ));
+        for name in FIGURES {
+            assert!(
+                USAGE.contains(&format!(" {name} ")),
+                "{name} missing from USAGE"
+            );
+        }
         assert!(matches!(
             parse_invocation(&argv("list")),
             Ok(Invocation::List)

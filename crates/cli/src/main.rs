@@ -43,10 +43,14 @@
 //!
 //! Output paths get their parent directories created on demand.
 //!
-//! `figures` takes any of fig3 fig4 fig5 fig6 table1 explain (default:
-//! all), runs each distinct cell of the named figures once, and
-//! honours MULTIPATH_THREADS (worker count), MULTIPATH_BUDGET=quick
-//! (smoke-sized sweep), MP_BENCH_COMMITS / MP_BENCH_MIXES, and MP_FORMAT=csv.
+//! `figures` takes any of the paper's fig3 fig4 fig5 fig6 table1, the
+//! reuse attribution explain, and the ablations spawn-latency predictor
+//! loop-body confidence active-list registers forks-per-cycle contexts
+//! recycled-pred mdb (default: all), runs each distinct cell of the named
+//! figures once, and honours MULTIPATH_THREADS (worker count),
+//! MULTIPATH_BUDGET=quick (smoke-sized sweep), and MP_FORMAT=csv.
+//! `results/ablations.txt` is the output of `multipath figures` given the
+//! ten ablation names in that order.
 //! ```
 
 use multipath_cli::{

@@ -84,8 +84,8 @@ pub use explain::{
 pub use ids::{CtxId, InstTag, PhysReg, ProgId};
 pub use probe::{
     intervals_csv, stats_json, CtxView, Event, EventFilter, EventKind, InstClass, Interval,
-    IntervalSink, NullSink, ProbeConfig, ProbeSink, Probes, RefuseReason, ReuseDeny, RingSink,
-    SpanRecorder, StageProfile,
+    IntervalSink, ProbeConfig, ProbeSink, Probes, RefuseReason, ReuseDeny, RingSink, SpanRecorder,
+    StageProfile,
 };
 pub use run::RunSpec;
 pub use sim::{Group, ProgramInstance, Simulator};

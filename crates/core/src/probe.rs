@@ -5,9 +5,8 @@
 //! (`crate::sim`), which is a no-op unless probes were attached with
 //! [`Simulator::enable_probes`](crate::Simulator::enable_probes) — the
 //! hot path pays one predictable branch
-//! per emission site and nothing else. Sinks implement [`ProbeSink`];
-//! [`NullSink`]'s methods are empty `#[inline]` bodies, so generic code
-//! driven with it monomorphizes to nothing. The built-in sinks:
+//! per emission site and nothing else. Sinks implement [`ProbeSink`],
+//! whose methods default to nothing. The built-in sinks:
 //!
 //! * [`RingSink`] — a bounded ring of the most recent (filtered) events,
 //!   for interactive inspection and post-mortem debugging.
@@ -393,7 +392,8 @@ impl EventFilter {
     }
 }
 
-/// A per-cycle view of one hardware context, fed to sinks at cycle end.
+/// A per-cycle view of one hardware context: what sinks see at cycle end
+/// and what the text timeline ([`crate::trace`]) samples.
 #[derive(Debug, Clone, Copy)]
 pub struct CtxView {
     /// The context's role at the end of the cycle.
@@ -416,13 +416,6 @@ pub trait ProbeSink {
     #[inline]
     fn cycle_end(&mut self, _cycle: u64, _stats: &Stats, _ctxs: &[CtxView]) {}
 }
-
-/// The do-nothing sink: generic code driven with it monomorphizes to
-/// empty inlined calls (the zero-overhead baseline of the perf gate).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl ProbeSink for NullSink {}
 
 /// A bounded ring buffer of the most recent events passing a filter.
 #[derive(Debug)]
@@ -1343,12 +1336,5 @@ mod tests {
             })
             .sum();
         assert_eq!(sum, stats.renamed);
-    }
-
-    #[test]
-    fn null_sink_is_inert() {
-        let mut s = NullSink;
-        s.event(&ev(1, EventKind::PregStall));
-        s.cycle_end(1, &Stats::new(1), &[]);
     }
 }

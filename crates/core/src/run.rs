@@ -11,6 +11,7 @@ use crate::cancel::CancelToken;
 use crate::config::SimConfig;
 use crate::probe::ProbeConfig;
 use crate::sim::Simulator;
+use multipath_workload::micro::{self, MicroParams};
 use multipath_workload::{mix, Benchmark};
 
 /// One simulation: machine, workload, stopping rule, and attached sinks.
@@ -31,6 +32,9 @@ pub struct RunSpec {
     pub config: SimConfig,
     /// The co-scheduled kernels, in context-group order.
     pub benches: Vec<Benchmark>,
+    /// A microbenchmark co-scheduled after the kernels, if any (see
+    /// [`micro::build`]; it is built from `seed`).
+    pub micro: Option<MicroParams>,
     /// Workload seed (see [`mix::programs`]).
     pub seed: u64,
     /// Committed instructions per program.
@@ -55,6 +59,7 @@ impl RunSpec {
         RunSpec {
             config,
             benches,
+            micro: None,
             seed,
             commits,
             max_cycles: target.saturating_mul(100).max(1_000_000),
@@ -67,7 +72,8 @@ impl RunSpec {
     /// Runs the simulation and returns the machine finished: statistics
     /// finalized and probe sinks closed, ready to export.
     pub fn run(&self) -> Simulator {
-        let programs = mix::programs(&self.benches, self.seed);
+        let mut programs = mix::programs(&self.benches, self.seed);
+        programs.extend(self.micro.map(|params| micro::build(&params, self.seed)));
         let mut sim = Simulator::new(self.config.clone(), programs);
         if let Some(probes) = self.probes {
             sim.enable_probes(probes);
@@ -76,20 +82,29 @@ impl RunSpec {
             sim.enable_host_profile();
         }
         sim.cancel = self.cancel.clone();
-        let target = self.commits.saturating_mul(self.benches.len() as u64);
-        sim.run(target, self.max_cycles);
+        sim.run(self.target(), self.max_cycles);
         sim.finish_probes();
         sim
+    }
+
+    /// The commit target: `commits` for each program.
+    pub fn target(&self) -> u64 {
+        let programs = self.benches.len() + usize::from(self.micro.is_some());
+        self.commits.saturating_mul(programs as u64)
     }
 
     /// Everything that determines the run's statistics, in a fixed field
     /// order: two specs with equal strings simulate identically. Sinks and
     /// cancellation are left out — they observe or cut short a run, never
-    /// change what it computes.
+    /// change what it computes. The microbenchmark is named only when set.
     pub fn canonical_string(&self) -> String {
         let benches: Vec<&str> = self.benches.iter().map(|b| b.name()).collect();
+        let micro = match &self.micro {
+            Some(params) => format!(";micro={params:?}"),
+            None => String::new(),
+        };
         format!(
-            "config={};benches={};seed={};commits={};max_cycles={}",
+            "config={};benches={}{micro};seed={};commits={};max_cycles={}",
             self.config.canonical_string(),
             benches.join("+"),
             self.seed,
@@ -117,15 +132,25 @@ mod tests {
     fn canonical_string_names_every_result_knob() {
         let config = SimConfig::big_2_16().with_features(Features::rec());
         let base = RunSpec::new(config, vec![Benchmark::Li], 3, 500);
-        let mut variants = vec![base.clone(); 5];
+        let mut variants = vec![base.clone(); 7];
         variants[0].config = base.config.clone().with_features(Features::tme());
         variants[1].benches = vec![Benchmark::Go];
         variants[2].seed = 4;
         variants[3].commits = 501;
         variants[4].max_cycles = 7;
+        variants[5].micro = Some(MicroParams::default());
+        variants[6].micro = Some(MicroParams {
+            loop_body: 48,
+            ..MicroParams::default()
+        });
         for v in &variants {
             assert_ne!(v.canonical_string(), base.canonical_string(), "{v:?}");
         }
+        assert_ne!(
+            variants[5].canonical_string(),
+            variants[6].canonical_string()
+        );
+        assert!(!base.canonical_string().contains("micro"));
         let mut observed = base.clone();
         observed.probes = Some(ProbeConfig::default());
         observed.host_profile = true;

@@ -386,17 +386,7 @@ impl Simulator {
     fn probe_cycle_end(&mut self) {
         let mut probes = self.probes.take().expect("caller checked");
         probes.views.clear();
-        for c in &self.contexts {
-            probes.views.push(crate::probe::CtxView {
-                role: crate::trace::CtxStateKind::of(c.state),
-                live: c.al.live() as u32,
-                stream: c
-                    .recycle_stream
-                    .as_ref()
-                    .map(|s| s.remaining())
-                    .unwrap_or(0),
-            });
-        }
+        probes.views.extend(self.ctx_views());
         let views = std::mem::take(&mut probes.views);
         crate::probe::ProbeSink::cycle_end(&mut *probes, self.cycle, &self.stats, &views);
         probes.views = views;
@@ -502,20 +492,17 @@ impl Simulator {
         self.hierarchy.stats()
     }
 
-    /// Per-context `(state, live entries, stream remaining)` views, in
-    /// context order — the raw feed for [`crate::trace`].
-    pub fn context_views(
-        &self,
-    ) -> impl Iterator<Item = (crate::context::CtxState, usize, u64)> + '_ {
-        self.contexts.iter().map(|c| {
-            (
-                c.state,
-                c.al.live(),
-                c.recycle_stream
-                    .as_ref()
-                    .map(|s| s.remaining())
-                    .unwrap_or(0),
-            )
+    /// Each context's view at this point, in context order: what the
+    /// probe sinks see at cycle end and what [`crate::trace`] samples.
+    pub(crate) fn ctx_views(&self) -> impl Iterator<Item = crate::probe::CtxView> + '_ {
+        self.contexts.iter().map(|c| crate::probe::CtxView {
+            role: crate::trace::CtxStateKind::of(c.state),
+            live: c.al.live() as u32,
+            stream: c
+                .recycle_stream
+                .as_ref()
+                .map(|s| s.remaining())
+                .unwrap_or(0),
         })
     }
 

@@ -16,18 +16,8 @@
 //! marks an active recycle stream with `N` instructions remaining.
 
 use crate::context::CtxState;
+use crate::probe::CtxView;
 use crate::sim::Simulator;
-
-/// What one context was doing in one cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CtxSample {
-    /// Role at the end of the cycle.
-    pub state: CtxStateKind,
-    /// Live (uncommitted) active-list entries.
-    pub live: usize,
-    /// Instructions remaining in an attached recycle stream.
-    pub stream: u64,
-}
 
 /// A compact mirror of [`CtxState`] for display.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,7 +107,7 @@ pub struct CycleSample {
     /// The cycle this sample describes.
     pub cycle: u64,
     /// Per-context activity.
-    pub contexts: Vec<CtxSample>,
+    pub contexts: Vec<CtxView>,
     /// Instructions fetched this cycle.
     pub fetched: u64,
     /// Instructions renamed this cycle (including recycled).
@@ -130,26 +120,22 @@ pub struct CycleSample {
 
 /// Steps the simulator `cycles` times, returning one sample per cycle.
 pub fn sample_window(sim: &mut Simulator, cycles: u64) -> Vec<CycleSample> {
+    let counters = |sim: &Simulator| {
+        let s = sim.stats();
+        [s.fetched, s.renamed, s.recycled, s.committed]
+    };
     let mut out = Vec::with_capacity(cycles as usize);
     for _ in 0..cycles {
-        let before = sim.stats().clone();
+        let before = counters(sim);
         sim.step();
-        let after = sim.stats();
-        let contexts = sim
-            .context_views()
-            .map(|(state, live, stream)| CtxSample {
-                state: CtxStateKind::of(state),
-                live,
-                stream,
-            })
-            .collect();
+        let [fetched, renamed, recycled, committed] = counters(sim);
         out.push(CycleSample {
             cycle: sim.cycle(),
-            contexts,
-            fetched: after.fetched - before.fetched,
-            renamed: after.renamed - before.renamed,
-            recycled: after.recycled - before.recycled,
-            committed: after.committed - before.committed,
+            contexts: sim.ctx_views().collect(),
+            fetched: fetched - before[0],
+            renamed: renamed - before[1],
+            recycled: recycled - before[2],
+            committed: committed - before[3],
         });
     }
     out
@@ -170,9 +156,9 @@ pub fn render_timeline(samples: &[CycleSample], stride: usize) -> String {
         out.push_str(&format!("{:>8}  ", sample.cycle));
         for c in &sample.contexts {
             let cell = if c.stream > 0 {
-                format!("{} {}+s{}", c.state.glyph(), c.live, c.stream)
+                format!("{} {}+s{}", c.role.glyph(), c.live, c.stream)
             } else {
-                format!("{} {}", c.state.glyph(), c.live)
+                format!("{} {}", c.role.glyph(), c.live)
             };
             out.push_str(&format!("{cell:<9}"));
         }
@@ -205,7 +191,7 @@ mod tests {
         assert!(
             samples
                 .iter()
-                .any(|s| s.contexts.iter().any(|c| c.state != CtxStateKind::Idle)),
+                .any(|s| s.contexts.iter().any(|c| c.role != CtxStateKind::Idle)),
             "something must be running"
         );
     }

@@ -1,13 +1,13 @@
 //! Integration tests for the observability layer: the Chrome-trace
 //! (Perfetto) exporter, the bounded event ring, per-interval time series
-//! on a real kernel, and the zero-cost `NullSink` path.
+//! on a real kernel, and the identity of probed and unprobed runs.
 //!
 //! The exported JSON is validated by actually parsing it with the
 //! workspace's own `multipath_testkit::Json` parser — the same guarantee
 //! an external viewer gets, with no external crates involved.
 
 use multipath_core::{
-    Event, EventFilter, EventKind, Features, NullSink, ProbeConfig, ProbeSink, RingSink, SimConfig,
+    Event, EventFilter, EventKind, Features, ProbeConfig, ProbeSink, RingSink, SimConfig,
     Simulator, Stats,
 };
 use multipath_testkit::Json;
@@ -185,7 +185,7 @@ fn interval_series_matches_final_stats_on_a_kernel() {
 }
 
 #[test]
-fn disabled_probes_change_nothing_and_null_sink_is_inert() {
+fn disabled_probes_change_nothing() {
     // Two identical runs, one with probes on: simulated behaviour must be
     // bit-for-bit identical (probes observe, never perturb).
     let run = |probed: bool| {
@@ -202,14 +202,4 @@ fn disabled_probes_change_nothing_and_null_sink_is_inert() {
         sim.stats().counters()
     };
     assert_eq!(run(false), run(true));
-
-    // The NullSink accepts everything and records nothing, by type.
-    let mut sink = NullSink;
-    sink.event(&Event {
-        cycle: 1,
-        ctx: 0,
-        pc: 0,
-        kind: EventKind::PregStall,
-    });
-    sink.cycle_end(1, &Stats::default(), &[]);
 }

@@ -7,6 +7,8 @@
 //!   block parses through the real CLI parser
 //!   (`multipath_cli::parse_invocation`) — documented commands cannot
 //!   rot silently.
+//! * Every `results/*.txt` file is written by a documented
+//!   `$ multipath figures … > results/<file>` line.
 //! * Every fenced ```json excerpt is valid JSON per the workspace's own
 //!   parser, and any `schema` tag it carries is one the code emits.
 //! * `CHANGES.md` PR entries are in strictly increasing order, so the
@@ -208,10 +210,12 @@ fn relative_links_and_anchors_resolve() {
     assert!(broken.is_empty(), "broken links:\n{}", broken.join("\n"));
 }
 
-#[test]
-fn documented_cli_invocations_parse() {
+/// Every documented `$ multipath …` command line in a fenced
+/// `console`/`text` block: the file it is in and its text after
+/// `multipath `.
+fn documented_commands() -> Vec<(PathBuf, String)> {
     let root = repo_root();
-    let mut checked = 0usize;
+    let mut commands = Vec::new();
     for file in checked_in_markdown() {
         let text = std::fs::read_to_string(root.join(&file)).unwrap();
         let (_, fences) = split_fences(&text);
@@ -220,33 +224,62 @@ fn documented_cli_invocations_parse() {
                 continue;
             }
             for line in &fence.lines {
-                let Some(cmd) = line.trim().strip_prefix("$ ") else {
-                    continue;
-                };
-                let Some(rest) = cmd.strip_prefix("multipath ") else {
-                    continue;
-                };
-                // Validate up to the first shell operator: docs may
-                // pipe or redirect the output.
-                let args: Vec<String> = rest
-                    .split_whitespace()
-                    .take_while(|tok| !matches!(*tok, "|" | ">" | ">>" | "2>" | "&&" | "&" | "<"))
-                    .map(str::to_owned)
-                    .collect();
-                if let Err(msg) = multipath_cli::parse_invocation(&args) {
-                    panic!(
-                        "{}: documented command does not parse:\n  $ multipath {rest}\n  error: {msg}",
-                        file.display()
-                    );
+                if let Some(rest) = line.trim().strip_prefix("$ multipath ") {
+                    commands.push((file.clone(), rest.to_owned()));
                 }
-                checked += 1;
             }
         }
     }
+    commands
+}
+
+#[test]
+fn documented_cli_invocations_parse() {
+    let commands = documented_commands();
+    for (file, rest) in &commands {
+        // Validate up to the first shell operator: docs may
+        // pipe or redirect the output.
+        let args: Vec<String> = rest
+            .split_whitespace()
+            .take_while(|tok| !matches!(*tok, "|" | ">" | ">>" | "2>" | "&&" | "&" | "<"))
+            .map(str::to_owned)
+            .collect();
+        if let Err(msg) = multipath_cli::parse_invocation(&args) {
+            panic!(
+                "{}: documented command does not parse:\n  $ multipath {rest}\n  error: {msg}",
+                file.display()
+            );
+        }
+    }
     assert!(
-        checked >= 8,
-        "expected at least 8 documented `$ multipath` invocations, found {checked}"
+        commands.len() >= 8,
+        "expected at least 8 documented `$ multipath` invocations, found {}",
+        commands.len()
     );
+}
+
+#[test]
+fn every_result_file_has_a_documented_figures_command() {
+    let written: Vec<String> = documented_commands()
+        .into_iter()
+        .filter_map(|(_, rest)| {
+            let (command, out) = rest.split_once(" > ")?;
+            command
+                .starts_with("figures ")
+                .then(|| out.trim().to_owned())
+        })
+        .collect();
+    let results = std::fs::read_dir(repo_root().join("results")).expect("results/");
+    for entry in results {
+        let name = entry.unwrap().file_name().into_string().unwrap();
+        if name.ends_with(".txt") {
+            let path = format!("results/{name}");
+            assert!(
+                written.contains(&path),
+                "no documented `$ multipath figures … > {path}` line"
+            );
+        }
+    }
 }
 
 #[test]
