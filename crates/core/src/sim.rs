@@ -341,9 +341,12 @@ impl Simulator {
         }
     }
 
-    /// Advances the machine one cycle.
+    /// Advances the machine one cycle. With the host profile on, one
+    /// cycle in [`StageProfile::SAMPLE_PERIOD`] (those whose number is a
+    /// multiple of it) runs the stopwatch clock; the rest run the no-op
+    /// one.
     pub fn step(&mut self) {
-        if self.host_prof.is_none() {
+        if self.host_prof.is_none() || !self.cycle.is_multiple_of(StageProfile::SAMPLE_PERIOD) {
             self.step_with(&mut ());
             return;
         }

@@ -8,7 +8,7 @@
 
 use multipath_core::{
     Event, EventFilter, EventKind, Features, ProbeConfig, ProbeSink, RingSink, SimConfig,
-    Simulator, Stats,
+    Simulator, StageProfile, Stats,
 };
 use multipath_testkit::Json;
 use multipath_workload::{kernels, Benchmark};
@@ -202,4 +202,36 @@ fn disabled_probes_change_nothing() {
         sim.stats().counters()
     };
     assert_eq!(run(false), run(true));
+}
+
+#[test]
+fn host_profile_samples_one_cycle_in_the_period_and_changes_nothing() {
+    let run = |profiled: bool| {
+        let program = kernels::build(Benchmark::Go, 1);
+        let mut sim = Simulator::new(
+            SimConfig::big_2_16().with_features(Features::rec_rs_ru()),
+            vec![program],
+        );
+        if profiled {
+            sim.enable_host_profile();
+        }
+        sim.run(1_500, 150_000);
+        let steps = sim.host_profile().map(|p| p.steps);
+        (sim.stats().counters(), sim.stats().cycles, steps)
+    };
+    let (plain, _, none) = run(false);
+    let (profiled, cycles, steps) = run(true);
+    assert_eq!(none, None);
+    assert_eq!(plain, profiled, "the sampled clock perturbs nothing");
+    let period = StageProfile::SAMPLE_PERIOD;
+    assert_ne!(
+        cycles % period,
+        0,
+        "a run whose length the period does not divide"
+    );
+    // Cycles 0, 16, 32, … below `cycles` are the timed ones.
+    assert_eq!(
+        steps,
+        Some((0..cycles).filter(|c| c % period == 0).count() as u64)
+    );
 }

@@ -18,7 +18,7 @@
 //! | Route                    | Meaning                                            |
 //! |--------------------------|----------------------------------------------------|
 //! | `POST /v1/run`           | one workload → `multipath-stats/v1` document       |
-//! | `POST /v1/sweep`         | many cells, sharded across workers, NDJSON stream  |
+//! | `POST /v1/sweep`         | many cells on idle pool workers, NDJSON stream     |
 //! | `GET /v1/explain/:kernel`| reuse/recycle attribution (`multipath-explain/v1`) |
 //! | `GET /healthz`           | liveness probe                                     |
 //! | `GET /metrics`           | queue, cache, and host-stage-profile counters      |
@@ -61,8 +61,9 @@ use multipath_core::{stats_json, CancelToken, ProbeConfig, RunSpec};
 use multipath_testkit::Json;
 use std::io::{BufReader, ErrorKind};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::Duration;
 
 /// Tunables for one server instance; `Default` is the `multipath serve`
@@ -100,8 +101,11 @@ struct ServerState {
     cache: ResultCache,
     metrics: ServerMetrics,
     /// Weak so the pool can be consumed for shutdown while handlers can
-    /// still sample queue depth for `/metrics`.
+    /// still sample queue depth for `/metrics` and submit sweep helpers.
     pool: Weak<WorkerPool>,
+    /// Connections dispatched to the pool that no worker has picked up
+    /// yet; sweep helpers yield to them.
+    requests_queued: AtomicUsize,
     queue_capacity: usize,
     max_body: usize,
 }
@@ -128,6 +132,7 @@ impl Server {
             cache: ResultCache::new(config.cache_bytes),
             metrics: ServerMetrics::default(),
             pool: Arc::downgrade(&pool),
+            requests_queued: AtomicUsize::new(0),
             queue_capacity: config.queue.max(1),
             max_body: config.max_body,
         });
@@ -274,12 +279,15 @@ fn dispatch(pool: &WorkerPool, state: &Arc<ServerState>, stream: TcpStream) {
     let cell = Arc::new(Mutex::new(Some(stream)));
     let job_cell = Arc::clone(&cell);
     let job_state = Arc::clone(state);
+    state.requests_queued.fetch_add(1, Ordering::Relaxed);
     let submitted = pool.try_execute(move || {
+        job_state.requests_queued.fetch_sub(1, Ordering::Relaxed);
         if let Some(stream) = job_cell.lock().expect("stream cell poisoned").take() {
             handle_connection(stream, &job_state);
         }
     });
     if submitted.is_err() {
+        state.requests_queued.fetch_sub(1, Ordering::Relaxed);
         state
             .metrics
             .rejected_overloaded
@@ -299,7 +307,7 @@ fn dispatch(pool: &WorkerPool, state: &Arc<ServerState>, stream: TcpStream) {
 }
 
 /// Reads one request, routes it, writes one response, closes.
-fn handle_connection(stream: TcpStream, state: &ServerState) {
+fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
     let Ok(write_half) = stream.try_clone() else {
         return;
@@ -332,7 +340,7 @@ fn handle_connection(stream: TcpStream, state: &ServerState) {
     route(state, &mut write_half, &request);
 }
 
-fn route(state: &ServerState, stream: &mut TcpStream, request: &http::Request) {
+fn route(state: &Arc<ServerState>, stream: &mut TcpStream, request: &http::Request) {
     let method = request.method.as_str();
     let path = request.path.as_str();
     match (method, path) {
@@ -423,7 +431,7 @@ fn handle_run(state: &ServerState, stream: &mut TcpStream, request: &http::Reque
     );
 }
 
-fn handle_sweep(state: &ServerState, stream: &mut TcpStream, request: &http::Request) {
+fn handle_sweep(state: &Arc<ServerState>, stream: &mut TcpStream, request: &http::Request) {
     let body = String::from_utf8_lossy(&request.body);
     let (cells, deadline_ms) = match parse_sweep_body(&body) {
         Ok(parsed) => parsed,
@@ -439,34 +447,117 @@ fn handle_sweep(state: &ServerState, stream: &mut TcpStream, request: &http::Req
         .sweep_cells
         .fetch_add(cells.len() as u64, Ordering::Relaxed);
 
-    // One deadline covers the whole sweep; every cell shares the clock.
-    let token = cancel_for(deadline_ms);
-    let workers = state
-        .pool
-        .upgrade()
-        .map(|p| p.threads())
-        .unwrap_or(1)
-        .max(1);
-
     let Ok(mut chunked) = http::ChunkedWriter::start(stream, 200, "OK", "application/x-ndjson")
     else {
         return;
     };
-    // Shard each batch of cells across the sweep engine's thread mapper,
-    // then stream the finished lines in request order — incremental
-    // delivery at batch granularity with bounded memory.
-    let indexed: Vec<(usize, RunRequest)> = cells.into_iter().enumerate().collect();
-    for batch in indexed.chunks(workers.max(1)) {
-        let lines = parallel::map_with(workers, batch, |(index, cell)| {
-            sweep_cell_line(state, *index, cell, token.clone())
-        });
-        for line in lines {
-            if chunked.chunk(line.as_bytes()).is_err() {
-                return; // client went away; stop simulating for it
+    // One deadline covers the whole sweep; every cell shares the clock.
+    let finished = run_sweep(
+        state,
+        cells,
+        cancel_for(deadline_ms),
+        sweep_cell_line,
+        |line| chunked.chunk(line.as_bytes()).is_ok(),
+    );
+    if finished {
+        let _ = chunked.finish();
+    }
+}
+
+/// Renders one sweep line for cell `index`: [`sweep_cell_line`] in
+/// service, a cell that misbehaves in tests.
+type CellFn = fn(&ServerState, usize, &RunRequest, &CancelToken) -> String;
+
+/// One sweep in progress, shared by the worker handling it and its
+/// helpers.
+struct Sweep {
+    cells: Vec<RunRequest>,
+    token: CancelToken,
+    run_cell: CellFn,
+    /// The next cell to claim: claims go in request order.
+    next: AtomicUsize,
+    /// Each cell's line once it is done.
+    lines: Mutex<Vec<Option<String>>>,
+    /// Signalled whenever a line is done.
+    done: Condvar,
+}
+
+impl Sweep {
+    /// Claims the next cell and runs it; false once every cell is
+    /// claimed. A panicking cell yields an error line.
+    fn run_next(&self, state: &ServerState) -> bool {
+        let index = self.next.fetch_add(1, Ordering::Relaxed);
+        let Some(cell) = self.cells.get(index) else {
+            return false;
+        };
+        let line = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            (self.run_cell)(state, index, cell, &self.token)
+        }))
+        .unwrap_or_else(|_| error_line(index, cell, "internal: cell panicked"));
+        self.lines.lock().expect("sweep lines poisoned")[index] = Some(line);
+        self.done.notify_all();
+        true
+    }
+
+    /// A helper job: runs cells until none is left or a request is
+    /// waiting for a worker, which then gets this one.
+    fn help(&self, state: &ServerState) {
+        while state.requests_queued.load(Ordering::Relaxed) == 0 && self.run_next(state) {}
+    }
+}
+
+/// Runs a sweep's cells on the calling worker plus one helper job per
+/// idle pool worker, so simulations in flight never exceed the pool's
+/// workers, and passes each line to `emit` in request order as soon as
+/// it and every earlier line are done. Returns false, with no further
+/// cell claimed, once `emit` does (the client went away).
+fn run_sweep(
+    state: &Arc<ServerState>,
+    cells: Vec<RunRequest>,
+    token: CancelToken,
+    run_cell: CellFn,
+    mut emit: impl FnMut(&str) -> bool,
+) -> bool {
+    let n = cells.len();
+    let sweep = Arc::new(Sweep {
+        cells,
+        token,
+        run_cell,
+        next: AtomicUsize::new(0),
+        lines: Mutex::new(vec![None; n]),
+        done: Condvar::new(),
+    });
+    if let Some(pool) = state.pool.upgrade() {
+        let idle = pool
+            .threads()
+            .saturating_sub(pool.running() + pool.queue_depth());
+        for _ in 0..idle.min(n - 1) {
+            let (state, sweep) = (Arc::clone(state), Arc::clone(&sweep));
+            if pool.try_execute(move || sweep.help(&state)).is_err() {
+                break;
             }
         }
     }
-    let _ = chunked.finish();
+    let mut sent = 0;
+    while sent < n {
+        let claimed = sweep.run_next(state);
+        let mut lines = sweep.lines.lock().expect("sweep lines poisoned");
+        // With every cell claimed, the rest are on helpers: wait for the
+        // next line in order.
+        while !claimed && lines[sent].is_none() {
+            lines = sweep.done.wait(lines).expect("sweep lines poisoned");
+        }
+        let ready: Vec<String> = lines[sent..].iter_mut().map_while(Option::take).collect();
+        drop(lines);
+        for line in ready {
+            if !emit(&line) {
+                sweep.next.fetch_max(n, Ordering::Relaxed);
+                return false;
+            }
+            sent += 1;
+        }
+    }
+    true
 }
 
 /// Produces one NDJSON line (`multipath-serve-cell/v1`) for a sweep cell,
@@ -475,11 +566,11 @@ fn sweep_cell_line(
     state: &ServerState,
     index: usize,
     cell: &RunRequest,
-    token: CancelToken,
+    token: &CancelToken,
 ) -> String {
     let effective = match cell.deadline_ms {
         Some(ms) => CancelToken::with_deadline(Duration::from_millis(ms)),
-        None => token,
+        None => token.clone(),
     };
     match state.cache.get_or_begin(cell.cache_key()) {
         Fetched::Hit(doc) | Fetched::Coalesced(doc) => cell_line(index, cell, true, &doc),
@@ -494,15 +585,21 @@ fn sweep_cell_line(
                     .metrics
                     .deadline_exceeded
                     .fetch_add(1, Ordering::Relaxed);
-                format!(
-                    "{{\"schema\":\"multipath-serve-cell/v1\",\"index\":{index},\
-                     \"label\":\"{}\",\"features\":\"{}\",\"error\":\"deadline_exceeded\"}}\n",
-                    cell.label(),
-                    cell.features.label()
-                )
+                error_line(index, cell, "deadline_exceeded")
             }
         },
     }
+}
+
+/// A sweep line that reports `error` in place of the cell's summary.
+fn error_line(index: usize, cell: &RunRequest, error: &str) -> String {
+    format!(
+        "{{\"schema\":\"multipath-serve-cell/v1\",\"index\":{index},\
+         \"label\":\"{}\",\"features\":\"{}\",\"error\":\"{}\"}}\n",
+        cell.label(),
+        cell.features.label(),
+        escape_json(error)
+    )
 }
 
 /// Summarises a full stats document into one sweep line. The document is
@@ -511,14 +608,7 @@ fn sweep_cell_line(
 fn cell_line(index: usize, cell: &RunRequest, cached: bool, doc: &str) -> String {
     let parsed = match Json::parse(doc) {
         Ok(v) => v,
-        Err(e) => {
-            return format!(
-                "{{\"schema\":\"multipath-serve-cell/v1\",\"index\":{index},\
-                 \"label\":\"{}\",\"features\":\"{}\",\"error\":\"internal: {e}\"}}\n",
-                cell.label(),
-                cell.features.label()
-            )
-        }
+        Err(e) => return error_line(index, cell, &format!("internal: {e}")),
     };
     let counter = |name: &str| -> u64 {
         let names = parsed.get("counter_names").and_then(Json::as_arr);
@@ -671,7 +761,9 @@ fn run_document(
         cancel: Some(cancel),
         ..run.spec()
     };
+    let simulating = state.metrics.simulating();
     let mut sim = spec.run();
+    drop(simulating);
     if sim.cancelled() {
         return Err(RunError::DeadlineExceeded);
     }
@@ -696,7 +788,9 @@ fn explain_document(explain: &ExplainRequest, state: &ServerState) -> String {
         host_profile: true,
         ..explain.spec()
     };
+    let simulating = state.metrics.simulating();
     let mut sim = spec.run();
+    drop(simulating);
     if let Some(profile) = sim.host_profile() {
         state.metrics.record_profile(profile);
     }
@@ -762,6 +856,77 @@ mod tests {
         assert_eq!(escape_json("plain"), "plain");
         assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(escape_json("\u{1}"), "\\u0001");
+    }
+
+    /// The cell that panicked, once one has.
+    static PANICKED_AT: AtomicUsize = AtomicUsize::new(usize::MAX);
+
+    /// Panics on the first cell a pool worker (a helper) runs. The
+    /// calling thread holds its first cell until then, so the panic
+    /// lands on a helper whatever the interleaving.
+    fn panics_on_a_helper(
+        _: &ServerState,
+        index: usize,
+        _: &RunRequest,
+        _: &CancelToken,
+    ) -> String {
+        let on_helper = std::thread::current()
+            .name()
+            .is_some_and(|name| name.starts_with("mp-pool"));
+        if on_helper {
+            if PANICKED_AT
+                .compare_exchange(usize::MAX, index, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok()
+            {
+                panic!("sweep cell {index} panics on purpose");
+            }
+        } else {
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while PANICKED_AT.load(Ordering::SeqCst) == usize::MAX
+                && std::time::Instant::now() < deadline
+            {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        format!("ok {index}\n")
+    }
+
+    #[test]
+    fn a_cell_panicking_on_a_helper_yields_an_error_line() {
+        let server = Server::bind(&ServeConfig {
+            addr: "127.0.0.1:0".to_owned(),
+            workers: 2,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let cell = RunRequest::parse(r#"{"benches": ["compress"]}"#).unwrap();
+        let mut lines = Vec::new();
+        let finished = run_sweep(
+            &server.state,
+            vec![cell; 6],
+            CancelToken::new(),
+            panics_on_a_helper,
+            |line| {
+                lines.push(line.to_owned());
+                true
+            },
+        );
+        assert!(finished);
+        let panicked = PANICKED_AT.load(Ordering::SeqCst);
+        assert!(panicked < 6, "a helper ran a cell");
+        assert_eq!(lines.len(), 6);
+        for (i, line) in lines.iter().enumerate() {
+            if i == panicked {
+                let v = Json::parse(line).expect("the error line is JSON");
+                assert_eq!(v.get("index").and_then(Json::as_u64), Some(i as u64));
+                assert_eq!(
+                    v.get("error").and_then(Json::as_str),
+                    Some("internal: cell panicked")
+                );
+            } else {
+                assert_eq!(line, &format!("ok {i}\n"));
+            }
+        }
     }
 
     #[test]

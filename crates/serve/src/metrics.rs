@@ -30,6 +30,10 @@ pub struct ServerMetrics {
     pub deadline_exceeded: AtomicU64,
     /// Requests answered with any other 4xx.
     pub bad_requests: AtomicU64,
+    /// Simulations in flight (see [`ServerMetrics::simulating`]).
+    pub simulating: AtomicU64,
+    /// The most simulations ever in flight at once.
+    pub simulating_peak: AtomicU64,
     /// Host time per pipeline stage, summed over every simulation this
     /// server ran.
     pub profile: Mutex<StageProfile>,
@@ -46,6 +50,14 @@ impl ServerMetrics {
         total.fetch += p.fetch;
         total.probes += p.probes;
         total.steps += p.steps;
+    }
+
+    /// Counts one simulation in flight until the returned guard drops,
+    /// on a panic too.
+    pub fn simulating(&self) -> Simulating<'_> {
+        let now = self.simulating.fetch_add(1, Ordering::Relaxed) + 1;
+        self.simulating_peak.fetch_max(now, Ordering::Relaxed);
+        Simulating(self)
     }
 
     /// Renders the `multipath-serve-metrics/v1` document.
@@ -80,8 +92,14 @@ impl ServerMetrics {
         let _ = writeln!(
             out,
             "  \"queue\": {{\n    \"depth\": {},\n    \"running\": {},\n    \
+             \"simulating\": {},\n    \"simulating_peak\": {},\n    \
              \"workers\": {},\n    \"capacity\": {}\n  }},",
-            queue.depth, queue.running, queue.workers, queue.capacity,
+            queue.depth,
+            queue.running,
+            self.simulating.load(Ordering::Relaxed),
+            self.simulating_peak.load(Ordering::Relaxed),
+            queue.workers,
+            queue.capacity,
         );
         let _ = writeln!(
             out,
@@ -113,6 +131,16 @@ impl ServerMetrics {
     }
 }
 
+/// One simulation counted in [`ServerMetrics::simulating`]; dropping it
+/// ends the count.
+pub struct Simulating<'a>(&'a ServerMetrics);
+
+impl Drop for Simulating<'_> {
+    fn drop(&mut self) {
+        self.0.simulating.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
 /// A point-in-time view of the worker pool, for [`ServerMetrics::render`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QueueSnapshot {
@@ -131,6 +159,22 @@ mod tests {
     use super::*;
     use multipath_testkit::Json;
     use std::time::Duration;
+
+    #[test]
+    fn simulating_counts_until_the_guard_drops_even_on_a_panic() {
+        let m = ServerMetrics::default();
+        let first = m.simulating();
+        let second = m.simulating();
+        assert_eq!(m.simulating.load(Ordering::Relaxed), 2);
+        drop((first, second));
+        let panicked = std::panic::catch_unwind(|| {
+            let _guard = m.simulating();
+            panic!("a simulation panics on purpose");
+        });
+        assert!(panicked.is_err());
+        assert_eq!(m.simulating.load(Ordering::Relaxed), 0);
+        assert_eq!(m.simulating_peak.load(Ordering::Relaxed), 2);
+    }
 
     #[test]
     fn metrics_document_round_trips() {

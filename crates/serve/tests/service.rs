@@ -269,6 +269,79 @@ fn sweep_streams_cells_in_order_and_shares_the_cache() {
     handle.shutdown();
 }
 
+/// A cold six-cell sweep body; `seed` keeps sweeps from sharing cells.
+fn six_cell_sweep(seed: u64) -> String {
+    let cells: Vec<String> = ["compress", "go"]
+        .iter()
+        .flat_map(|bench| {
+            ["tme", "rec", "rec-rs-ru"].map(|features| {
+                format!(
+                    "{{\"benches\": [\"{bench}\"], \"features\": \"{features}\", \
+                     \"commits\": 4000, \"seed\": {seed}}}"
+                )
+            })
+        })
+        .collect();
+    format!("{{\"cells\": [{}]}}", cells.join(", "))
+}
+
+/// `queue.<key>` from `/metrics`.
+fn queue_field(addr: std::net::SocketAddr, key: &str) -> u64 {
+    let metrics = Json::parse(&http::get(addr, "/metrics").unwrap().text()).unwrap();
+    metrics
+        .get("queue")
+        .and_then(|q| q.get(key))
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("queue.{key} in /metrics"))
+}
+
+#[test]
+fn concurrent_sweeps_stay_inside_the_worker_bound() {
+    let handle = start(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    });
+    let addr = handle.addr();
+    let clients: Vec<_> = (0..3u64)
+        .flat_map(|i| {
+            let sweep = std::thread::spawn(move || {
+                let r = http::post_json(addr, "/v1/sweep", &six_cell_sweep(10 + i)).unwrap();
+                assert_eq!(r.status, 200);
+                assert_eq!(r.text().lines().count(), 6);
+            });
+            let run = std::thread::spawn(move || {
+                let body = format!("{{\"benches\": [\"li\"], \"commits\": 4000, \"seed\": {i}}}");
+                let r = http::post_json(addr, "/v1/run", &body).unwrap();
+                assert_eq!(r.status, 200);
+            });
+            [sweep, run]
+        })
+        .collect();
+    for client in clients {
+        client.join().unwrap();
+    }
+    let peak = queue_field(addr, "simulating_peak");
+    assert!(
+        (1..=2).contains(&peak),
+        "{peak} simulations at once on 2 workers"
+    );
+    assert_eq!(queue_field(addr, "simulating"), 0);
+    handle.shutdown();
+}
+
+#[test]
+fn a_lone_sweep_fans_out_over_every_worker() {
+    let handle = start(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    });
+    let addr = handle.addr();
+    let r = http::post_json(addr, "/v1/sweep", &six_cell_sweep(1)).unwrap();
+    assert_eq!(r.status, 200);
+    assert_eq!(queue_field(addr, "simulating_peak"), 2);
+    handle.shutdown();
+}
+
 #[test]
 fn oversize_documents_bypass_a_tiny_cache() {
     // A 1-byte budget stores nothing: every request misses and the

@@ -418,4 +418,16 @@ fn quoted_serve_limits_match_the_code() {
         Some(multipath_serve::request::MAX_COMMITS_PER_REQUEST),
         "serving.md quotes the request-size cap"
     );
+    let sampled = "times one simulated cycle in ";
+    let at = prose
+        .find(sampled)
+        .expect("serving.md quotes the host profile's sampling period")
+        + sampled.len();
+    let window: String = prose[at..].chars().take(20).collect();
+    let period: String = window.chars().take_while(char::is_ascii_digit).collect();
+    assert_eq!(
+        period.parse().ok(),
+        Some(multipath_core::StageProfile::SAMPLE_PERIOD),
+        "serving.md quotes the sampling period: {window}"
+    );
 }
